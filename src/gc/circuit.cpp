@@ -15,6 +15,9 @@ constexpr std::uint32_t sizeof_label = 16;
 const CircuitLayers& Circuit::layers() const {
   if (layers_) return *layers_;
   auto lay = std::make_shared<CircuitLayers>();
+  lay->num_wires = num_wires;
+  lay->num_inputs = num_inputs;
+  lay->outputs = outputs;
   // AND-depth of every wire: inputs at 0, XOR/NOT pass the max of their
   // inputs through, each AND adds one.  Gates are emitted in topological
   // order, so a single forward pass suffices.

@@ -60,6 +60,11 @@ struct CircuitLevel {
 };
 
 struct CircuitLayers {
+  // The circuit's interface, so a layering alone is enough to garble and
+  // evaluate: caches and sessions can hold it without the gate list.
+  std::int32_t num_wires = 0;
+  std::int32_t num_inputs = 0;
+  std::vector<std::int32_t> outputs;
   std::vector<CircuitLevel> levels;
   // Serial AND ordinal of every gate (0 for XOR/NOT): position of the gate
   // among AND gates in emission order.  This fixes each AND gate's tweak
@@ -91,9 +96,48 @@ struct Circuit {
   // same Circuit object to concurrent users (garble/eval call it up front,
   // outside their parallel regions).
   const CircuitLayers& layers() const;
+  // The same layering under shared ownership: it outlives this Circuit
+  // (and any move of it), so a cache or session can keep it alone.
+  std::shared_ptr<const CircuitLayers> layered() const {
+    layers();
+    return layers_;
+  }
 
  private:
   mutable std::shared_ptr<const CircuitLayers> layers_;
+};
+
+// `copies` independent copies of one layered template circuit: the form
+// element-wise layers (one identical sub-circuit per value) are garbled
+// in, so build cost, layering cost and circuit memory scale with the
+// template instead of the value count.  Garbling it is
+// bit-identical to garbling the monolithic circuit that emits the copies
+// one after another (make_activation_circuit with count = copies):
+//   - inputs: the template's inputs form `input_segments` equal segments
+//     of S wires; segment s of copy c is global inputs
+//     [s*S*copies + c*S, s*S*copies + (c+1)*S) — the [garbler shares |
+//     evaluator shares | masks] buses, each holding every copy's slice;
+//   - outputs: copy c's outputs follow copy c-1's;
+//   - AND gates: local ordinal k of copy c is global ordinal c*A + k (A =
+//     the template's AND count), so its tweaks are 2*(c*A + k) + 1 and
+//     + 2 and its table rows 2*(c*A + k) and + 1 — unique across copies.
+// A plain circuit is the one-copy, one-segment case.
+struct ReplicatedCircuit {
+  std::shared_ptr<const CircuitLayers> tmpl;
+  std::size_t copies = 1;
+  std::size_t input_segments = 1;
+
+  ReplicatedCircuit() = default;
+  explicit ReplicatedCircuit(const Circuit& c) : tmpl(c.layered()) {}
+  ReplicatedCircuit(std::shared_ptr<const CircuitLayers> t, std::size_t n,
+                    std::size_t segments)
+      : tmpl(std::move(t)), copies(n), input_segments(segments) {}
+
+  std::size_t num_inputs() const {
+    return static_cast<std::size_t>(tmpl->num_inputs) * copies;
+  }
+  std::size_t num_outputs() const { return tmpl->outputs.size() * copies; }
+  std::size_t and_count() const { return tmpl->and_count * copies; }
 };
 
 // Plain (non-garbled) evaluation — the reference semantics every garbling

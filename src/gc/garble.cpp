@@ -135,12 +135,12 @@ inline void free_sweep(Label* w, const CircuitLevel& level) {
 // and labels are bit-identical to it.
 template <int G>
 inline void garble_gates(const __m128i* rk, const std::uint32_t* quads,
-                         __m128i vdelta, __m128i sdelta, Label* w0,
-                         Label* rows) {
+                         std::uint64_t tw_off, __m128i vdelta, __m128i sdelta,
+                         Label* w0, Label* rows) {
   __m128i s[4 * G], v[4 * G], va[G], pa[G], pb[G];
   for (int k = 0; k < G; ++k) {
     const std::uint32_t* q = quads + 4 * k;
-    const std::uint64_t j0 = 2 * std::uint64_t{q[3]} + 1;
+    const std::uint64_t j0 = 2 * std::uint64_t{q[3]} + 1 + tw_off;
     va[k] = label_at(w0, q[0])->to_m128();
     const __m128i vb = label_at(w0, q[1])->to_m128();
     const __m128i sa = _mm_xor_si128(
@@ -185,11 +185,11 @@ inline void garble_gates(const __m128i* rk, const std::uint32_t* quads,
 // Evaluator counterpart: G gates, two hashes each (2*G blocks in flight).
 template <int G>
 inline void eval_gates(const __m128i* rk, const std::uint32_t* quads,
-                       const Label* rows, Label* w) {
+                       std::uint64_t tw_off, const Label* rows, Label* w) {
   __m128i s[2 * G], v[2 * G], va[G], sa[G], sb[G];
   for (int k = 0; k < G; ++k) {
     const std::uint32_t* q = quads + 4 * k;
-    const std::uint64_t j0 = 2 * std::uint64_t{q[3]} + 1;
+    const std::uint64_t j0 = 2 * std::uint64_t{q[3]} + 1 + tw_off;
     va[k] = label_at(w, q[0])->to_m128();
     const __m128i vb = label_at(w, q[1])->to_m128();
     s[2 * k + 0] = _mm_xor_si128(
@@ -220,33 +220,41 @@ inline void eval_gates(const __m128i* rk, const std::uint32_t* quads,
 
 // Garbles n AND quads of one dependency level through the fused kernel,
 // two gates (eight blocks) in flight at a time.  Table rows and tweaks are
-// addressed by each gate's serial AND ordinal, and every gate writes
-// disjoint state (its output wire and its two table rows), so chunks of a
-// level can run concurrently with bit-identical results.
+// addressed by each gate's global AND ordinal (record ordinal + ob), and
+// every gate writes disjoint state (its output wire and its two table
+// rows), so chunks of a level can run concurrently with bit-identical
+// results.
 void garble_and_span(const FixedKeyAes& aes, const std::uint32_t* quads,
-                     std::size_t n, Label delta, Label* w0, Label* rows) {
+                     std::size_t n, std::uint32_t ob, Label delta, Label* w0,
+                     Label* rows) {
   const __m128i* rk = aes.round_keys();
   const __m128i vdelta = delta.to_m128();
   const __m128i sdelta = gf_double_m128(vdelta);
+  // The ordinal base folds into the table base and the tweak once per span.
+  rows += 2 * std::size_t{ob};
+  const std::uint64_t tw_off = 2 * std::uint64_t{ob};
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) {
-    garble_gates<2>(rk, quads + 4 * i, vdelta, sdelta, w0, rows);
+    garble_gates<2>(rk, quads + 4 * i, tw_off, vdelta, sdelta, w0, rows);
   }
   if (i < n) {
-    garble_gates<1>(rk, quads + 4 * i, vdelta, sdelta, w0, rows);
+    garble_gates<1>(rk, quads + 4 * i, tw_off, vdelta, sdelta, w0, rows);
   }
 }
 
 // Evaluator counterpart: four gates (eight blocks) in flight at a time.
 void eval_and_span(const FixedKeyAes& aes, const std::uint32_t* quads,
-                   std::size_t n, const Label* rows, Label* w) {
+                   std::size_t n, std::uint32_t ob, const Label* rows,
+                   Label* w) {
   const __m128i* rk = aes.round_keys();
+  rows += 2 * std::size_t{ob};
+  const std::uint64_t tw_off = 2 * std::uint64_t{ob};
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    eval_gates<4>(rk, quads + 4 * i, rows, w);
+    eval_gates<4>(rk, quads + 4 * i, tw_off, rows, w);
   }
   for (; i < n; ++i) {
-    eval_gates<1>(rk, quads + 4 * i, rows, w);
+    eval_gates<1>(rk, quads + 4 * i, tw_off, rows, w);
   }
 }
 
@@ -299,114 +307,179 @@ GcKernelTier gc_kernel_tier() {
   return vaes_ok ? vaes_tier : kSseTier;
 }
 
+// Copies every copy's slice of the global input labels into its wire block
+// and seeds the block's delta slot (see ReplicatedCircuit for the layout).
+void scatter_inputs(const ReplicatedCircuit& rc, const Label* inputs,
+                    Label* w, Label delta_slot) {
+  const CircuitLayers& lay = *rc.tmpl;
+  const std::size_t block = static_cast<std::size_t>(lay.num_wires) + 1;
+  const std::size_t seg =
+      static_cast<std::size_t>(lay.num_inputs) / rc.input_segments;
+  for (std::size_t c = 0; c < rc.copies; ++c) {
+    Label* wc = w + c * block;
+    for (std::size_t s = 0; s < rc.input_segments; ++s) {
+      std::memcpy(static_cast<void*>(wc + s * seg),
+                  inputs + (s * rc.copies + c) * seg, seg * sizeof(Label));
+    }
+    wc[block - 1] = delta_slot;
+  }
+}
+
+// Every copy's output labels, in global output order.
+std::vector<Label> gather_outputs(const ReplicatedCircuit& rc,
+                                  const Label* w) {
+  const CircuitLayers& lay = *rc.tmpl;
+  const std::size_t block = static_cast<std::size_t>(lay.num_wires) + 1;
+  std::vector<Label> out;
+  out.reserve(rc.num_outputs());
+  for (std::size_t c = 0; c < rc.copies; ++c) {
+    for (const auto o : lay.outputs) out.push_back(w[c * block + o]);
+  }
+  return out;
+}
+
+// Runs every level of every copy of `rc` over the wire blocks at `w`
+// (copy c's block at w + c * (template wires + 1)), copy by copy: each
+// copy's wire block stays in cache through all its levels, which beats
+// running a level across all copies even though template levels are often
+// only one to three AND gates wide (carry chains).  Per level,
+// run_span(quads, n, copy_w, ordinal_base) garbles or evaluates spans of
+// the level's AND gates, then the free sweep runs and level_done(copy,
+// level) fires.  Copy 0 runs first on the calling thread, fanning wide
+// levels across the pool (a one-copy circuit is all copy 0; the garbler
+// streams copy 0's table prefix); the other copies then fan out across the
+// pool one copy per task, their levels running inline.
+template <class RunSpan, class LevelDone>
+void run_copies(const ReplicatedCircuit& rc, Label* w, std::size_t gate_work,
+                const RunSpan& run_span, const LevelDone& level_done) {
+  const CircuitLayers& lay = *rc.tmpl;
+  const std::size_t block = static_cast<std::size_t>(lay.num_wires) + 1;
+  auto run_copy = [&](std::size_t c) {
+    Label* wc = w + c * block;
+    const auto base = static_cast<std::uint32_t>(c * lay.and_count);
+    for (std::size_t l = 0; l < lay.levels.size(); ++l) {
+      const CircuitLevel& level = lay.levels[l];
+      const std::uint32_t* quads = level.and_quads.data();
+      const std::size_t n = level.and_quads.size() / 4;
+      if (num_threads() == 1 || n * gate_work < kSerialGrain) {
+        run_span(quads, n, wc, base);
+      } else {
+        parallel_for_chunks(0, n, [&](std::size_t lo, std::size_t hi) {
+          run_span(quads + 4 * lo, hi - lo, wc, base);
+        });
+      }
+      // Free sweep: XOR is free, NOT is XOR with the delta wire (output
+      // false label = input true label; the evaluator passes the label
+      // through unchanged and bookkeeping flips semantics).
+      free_sweep(wc, level);
+      level_done(c, l);
+    }
+  };
+  run_copy(0);
+  if (rc.copies > 1) {
+    parallel_for(1, rc.copies, lay.and_count * gate_work, run_copy);
+  }
+}
+
 }  // namespace
 
 const char* gc_kernel_name() { return gc_kernel_tier().name; }
 
 GarbledCircuit Garbler::garble(const Circuit& c) const {
-  return garble(c, RowSink{});
+  return garble(ReplicatedCircuit(c), RowSink{});
 }
 
 GarbledCircuit Garbler::garble(const Circuit& c, const RowSink& sink) const {
+  return garble(ReplicatedCircuit(c), sink);
+}
+
+GarbledCircuit Garbler::garble(const ReplicatedCircuit& rc,
+                               const RowSink& sink) const {
   const FixedKeyAes& aes = garbling_hash();
-  const CircuitLayers& lay = c.layers();
+  const CircuitLayers& lay = *rc.tmpl;
   GarbledCircuit gc;
   // All Rng sampling happens here on the calling thread, in the same order
-  // as the serial reference path.
+  // as the serial reference path on the monolithic circuit.
   gc.delta = random_label(rng_);
   gc.delta.lo |= 1;  // point-and-permute: lsb(R) = 1
-  // Wire labels live in arena scratch with one extra slot: the reserved
-  // delta wire the flattened free-gate triples XOR against (NOT gates; see
-  // CircuitLevel::free_triples).  Dirty reuse is safe — every wire is
-  // written (input sampling or gate output) before it is read.
-  auto scratch = PolyArena::local().checkout(
-      2 * (static_cast<std::size_t>(c.num_wires) + 1));
+  gc.input_labels0.resize(rc.num_inputs());
+  sample_input_labels(rng_, gc.input_labels0.data(), rc.num_inputs());
+  // Wire labels live in arena scratch, one block per copy with one extra
+  // slot: the reserved delta wire the flattened free-gate triples XOR
+  // against (NOT gates; see CircuitLevel::free_triples).  Dirty reuse is
+  // safe — every wire is written (input scatter or gate output) before it
+  // is read.
+  const std::size_t block = static_cast<std::size_t>(lay.num_wires) + 1;
+  auto scratch = PolyArena::local().checkout(2 * block * rc.copies);
   Label* w0 = reinterpret_cast<Label*>(scratch.data());
-  w0[static_cast<std::size_t>(c.num_wires)] = gc.delta;
-  sample_input_labels(rng_, w0, static_cast<std::size_t>(c.num_inputs));
+  scatter_inputs(rc, gc.input_labels0.data(), w0, gc.delta);
   // Uninitialized resize (see LabelVec): every row is written by exactly one
   // AND gate's kernel before the sink or the caller reads it.
-  gc.table.rows.resize(2 * lay.and_count);
+  const std::size_t total_rows = 2 * rc.and_count();
+  gc.table.rows.resize(total_rows);
   Label* rows = gc.table.rows.data();
 
   const GarbleSpanFn span = gc_kernel_tier().garble;
+  const auto run_span = [&](const std::uint32_t* quads, std::size_t n,
+                            Label* w, std::uint32_t base) {
+    span(aes, quads, n, base, gc.delta, w, rows);
+  };
+  // Streamed rows follow the monolithic circuit's level watermarks: while
+  // a later template level still holds ANDs, the final prefix lies inside
+  // copy 0 (final once copy 0 finishes the level); after that, only the
+  // whole table is final.
   std::size_t streamed = 0;  // rows already handed to the sink
-  for (std::size_t l = 0; l < lay.levels.size(); ++l) {
-    const CircuitLevel& level = lay.levels[l];
-    const std::uint32_t* quads = level.and_quads.data();
-    const std::size_t n = level.and_quads.size() / 4;
-    if (n != 0) {
-      if (num_threads() == 1 || n * kGarbleGateWork < kSerialGrain) {
-        span(aes, quads, n, gc.delta, w0, rows);
-      } else {
-        parallel_for_chunks(0, n, [&](std::size_t lo, std::size_t hi) {
-          span(aes, quads + 4 * lo, hi - lo, gc.delta, w0, rows);
-        });
-      }
+  const auto level_done = [&](std::size_t c, std::size_t l) {
+    if (!sink || c != 0) return;
+    std::size_t final_ands = lay.watermark[l];
+    if (final_ands == lay.and_count) {
+      if (rc.copies != 1) return;
+      final_ands = rc.and_count();
     }
-    // Free sweep: XOR is free, NOT is XOR with the delta wire (output
-    // false label = input true label; the evaluator passes the label
-    // through unchanged and bookkeeping flips semantics).
-    free_sweep(w0, level);
-    if (sink) {
-      const std::size_t final_rows = 2 * std::size_t{lay.watermark[l]};
-      if (final_rows > streamed) {
-        sink(rows, streamed, final_rows);
-        streamed = final_rows;
-      }
+    if (2 * final_ands > streamed) {
+      sink(rows, streamed, 2 * final_ands);
+      streamed = 2 * final_ands;
     }
-  }
-  if (sink && streamed < gc.table.rows.size()) {
-    sink(rows, streamed, gc.table.rows.size());
-  }
+  };
+  run_copies(rc, w0, kGarbleGateWork, run_span, level_done);
+  if (sink && streamed < total_rows) sink(rows, streamed, total_rows);
 
-  gc.input_labels0.assign(w0, w0 + c.num_inputs);
-  gc.output_labels0.reserve(c.outputs.size());
-  for (const auto out : c.outputs) gc.output_labels0.push_back(w0[out]);
+  gc.output_labels0 = gather_outputs(rc, w0);
   return gc;
 }
 
 std::vector<Label> GcEvaluator::eval(const Circuit& c,
                                      const GarbledTable& table,
                                      const std::vector<Label>& active_inputs) {
-  if (static_cast<std::int32_t>(active_inputs.size()) != c.num_inputs) {
+  return eval(ReplicatedCircuit(c), table, active_inputs);
+}
+
+std::vector<Label> GcEvaluator::eval(const ReplicatedCircuit& rc,
+                                     const GarbledTable& table,
+                                     const std::vector<Label>& active_inputs) {
+  if (active_inputs.size() != rc.num_inputs()) {
     throw std::invalid_argument("GcEvaluator::eval: wrong input count");
   }
-  const FixedKeyAes& aes = garbling_hash();
-  const CircuitLayers& lay = c.layers();
-  if (table.rows.size() != 2 * lay.and_count) {
+  if (table.rows.size() != 2 * rc.and_count()) {
     throw std::invalid_argument("GcEvaluator::eval: table size mismatch");
   }
+  const FixedKeyAes& aes = garbling_hash();
   // Wire labels in arena scratch (dirty reuse is safe; see garble).  The
-  // extra slot is the delta wire, zero on the evaluator's side: the
-  // flattened NOT triples XOR with it, passing the active label through.
-  auto scratch = PolyArena::local().checkout(
-      2 * (static_cast<std::size_t>(c.num_wires) + 1));
+  // delta slot is zero on the evaluator's side: the flattened NOT triples
+  // XOR with it, passing the active label through.
+  const std::size_t block = static_cast<std::size_t>(rc.tmpl->num_wires) + 1;
+  auto scratch = PolyArena::local().checkout(2 * block * rc.copies);
   Label* w = reinterpret_cast<Label*>(scratch.data());
-  w[static_cast<std::size_t>(c.num_wires)] = Label{};
-  for (std::size_t i = 0; i < active_inputs.size(); ++i) w[i] = active_inputs[i];
+  scatter_inputs(rc, active_inputs.data(), w, Label{});
   const Label* rows = table.rows.data();
 
   const EvalSpanFn span = gc_kernel_tier().eval;
-  for (const CircuitLevel& level : lay.levels) {
-    const std::uint32_t* quads = level.and_quads.data();
-    const std::size_t n = level.and_quads.size() / 4;
-    if (n != 0) {
-      if (num_threads() == 1 || n * kEvalGateWork < kSerialGrain) {
-        span(aes, quads, n, rows, w);
-      } else {
-        parallel_for_chunks(0, n, [&](std::size_t lo, std::size_t hi) {
-          span(aes, quads + 4 * lo, hi - lo, rows, w);
-        });
-      }
-    }
-    free_sweep(w, level);
-  }
-
-  std::vector<Label> out;
-  out.reserve(c.outputs.size());
-  for (const auto o : c.outputs) out.push_back(w[o]);
-  return out;
+  const auto run_span = [&](const std::uint32_t* quads, std::size_t n,
+                            Label* wc, std::uint32_t base) {
+    span(aes, quads, n, base, rows, wc);
+  };
+  run_copies(rc, w, kEvalGateWork, run_span, [](std::size_t, std::size_t) {});
+  return gather_outputs(rc, w);
 }
 
 // ---------------------------------------------------------------------------

@@ -80,6 +80,10 @@ class Garbler {
   // bit-identical to garble_reference() for any PRIMER_THREADS.
   GarbledCircuit garble(const Circuit& c) const;
   GarbledCircuit garble(const Circuit& c, const RowSink& sink) const;
+  // The replicated form: tables, labels and sink spans are bit-identical to
+  // garbling the monolithic circuit it stands for (see ReplicatedCircuit).
+  GarbledCircuit garble(const ReplicatedCircuit& rc,
+                        const RowSink& sink = RowSink{}) const;
 
   // Active label for an input wire given its plaintext bit.
   static Label active_input(const GarbledCircuit& gc, std::size_t wire,
@@ -105,6 +109,9 @@ class GcEvaluator {
   // returns active labels of the outputs.  Batched and level-parallel like
   // garble(); bit-identical to eval_reference().
   static std::vector<Label> eval(const Circuit& c, const GarbledTable& table,
+                                 const std::vector<Label>& active_inputs);
+  static std::vector<Label> eval(const ReplicatedCircuit& rc,
+                                 const GarbledTable& table,
                                  const std::vector<Label>& active_inputs);
 };
 

@@ -1,7 +1,8 @@
 // Internal interface between the garble/eval drivers (garble.cpp) and the
 // AND-gate span kernel tiers.  A span kernel processes AND gates
-// ands[lo..hi) of one dependency level; table rows and hash tweaks are
-// addressed by each gate's serial AND ordinal and every gate writes
+// ands[lo..hi) of one dependency level of one circuit copy; table rows and
+// hash tweaks are addressed by each gate's global AND ordinal and every
+// gate writes
 // disjoint state, so spans of a level run concurrently and every tier is
 // bit-identical to the scalar reference.
 //
@@ -23,12 +24,18 @@ namespace primer {
 
 // `quads` points at n consecutive (a, b, out, ordinal) records from
 // CircuitLevel::and_quads (a/b/out are label byte offsets); `w0` / `w` are
-// wire-label arrays (with the extra delta slot at num_wires).
+// wire-label arrays (with the extra delta slot at num_wires).  Each gate's
+// global AND ordinal is its record's ordinal plus `ordinal_base` — the
+// first ordinal of the copy being run (ReplicatedCircuit: copy c of a
+// template with A AND gates has base c*A; plain circuits pass 0) — and
+// fixes its tweaks 2*ordinal+1, +2 and its table rows 2*ordinal, +1.
 using GarbleSpanFn = void (*)(const FixedKeyAes& aes,
                               const std::uint32_t* quads, std::size_t n,
-                              Label delta, Label* w0, Label* rows);
+                              std::uint32_t ordinal_base, Label delta,
+                              Label* w0, Label* rows);
 using EvalSpanFn = void (*)(const FixedKeyAes& aes, const std::uint32_t* quads,
-                            std::size_t n, const Label* rows, Label* w);
+                            std::size_t n, std::uint32_t ordinal_base,
+                            const Label* rows, Label* w);
 
 // VAES tier accessors: nullptr when the TU was compiled without VAES
 // support (dispatch then stays on the sse tier).  Callers must still gate

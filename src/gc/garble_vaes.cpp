@@ -93,8 +93,9 @@ inline __m512i gf_double_x4(__m512i v) {
 template <int G>
 [[gnu::always_inline]] inline void garble_gates(const __m512i* rk,
                                                 const std::uint32_t* quads,
-                         __m128i vdelta, __m512i d512, Label* w0,
-                         Label* rows) {
+                                                __m512i step, __m128i vdelta,
+                                                __m512i d512, Label* w0,
+                                                Label* rows) {
   __m512i s[G], v[G];
   for (int k = 0; k < G; ++k) {
     const std::uint32_t* q = quads + 4 * k;
@@ -104,10 +105,10 @@ template <int G>
     // Tweaks [j0, j0, j0+1, j0+1] (j0 = 2*ordinal+1) in the low qword of
     // each lane, built from a broadcast-load of the ordinal dword straight
     // out of the quad record — load-port work, not a GPR->zmm broadcast:
-    // dwords {0,4,8,12} get 2*ordinal, the step supplies +1/+1/+2/+2.
+    // dwords {0,4,8,12} get 2*record ordinal, the span's step supplies
+    // 2*ordinal base + 1/1/2/2.
     const __m512i ordx2 =
         _mm512_maskz_slli_epi32(0x1111, _mm512_set1_epi32(static_cast<int>(q[3])), 1);
-    const __m512i step = _mm512_set_epi64(0, 2, 0, 2, 0, 1, 0, 1);
     const __m512i tw = _mm512_add_epi64(ordx2, step);
     s[k] = _mm512_xor_si512(_mm512_xor_si512(gf_double_x4(x), tw), d512);
   }
@@ -200,7 +201,8 @@ template <int G>
 template <int P>
 [[gnu::always_inline]] inline void eval_pairs(const __m512i* rk,
                                               const std::uint32_t* quads,
-                       const Label* rows, Label* w) {
+                                              __m512i step, const Label* rows,
+                                              Label* w) {
   __m512i s[P], v[P];
   for (int p = 0; p < P; ++p) {
     const std::uint32_t* q0 = quads + 8 * p;
@@ -216,12 +218,12 @@ template <int P>
         _mm512_inserti64x4(_mm512_castsi256_si512(half0), half1, 1);
     // Tweaks [j0, j0+1, j1, j1+1] per lane low qword (j = 2*ordinal+1),
     // from broadcast-loads of the two ordinal dwords blended per half —
-    // load-port + blend, no GPR->zmm broadcasts.
+    // load-port + blend, no GPR->zmm broadcasts; the span's step adds the
+    // ordinal base.
     const __m512i ord01 = _mm512_mask_blend_epi32(
         0xFF00, _mm512_set1_epi32(static_cast<int>(q0[3])),
         _mm512_set1_epi32(static_cast<int>(q1[3])));
     const __m512i ordx2 = _mm512_maskz_slli_epi32(0x1111, ord01, 1);
-    const __m512i step = _mm512_set_epi64(0, 2, 0, 1, 0, 2, 0, 1);
     const __m512i twv = _mm512_add_epi64(ordx2, step);
     s[p] = _mm512_xor_si512(gf_double_x4(x), twv);
   }
@@ -296,10 +298,11 @@ template <int P>
 // Trailing odd gate: both hashes in the low half, high half a duplicate
 // whose outputs are discarded.
 inline void eval_gate_tail(const __m512i* rk, const std::uint32_t* q,
-                           const Label* rows, Label* w) {
+                           std::uint64_t tw_off, const Label* rows, Label* w) {
   const Label a = *label_at(w, q[0]);
   const Label b = *label_at(w, q[1]);
-  const long long j0 = static_cast<long long>(2 * std::uint64_t{q[3]} + 1);
+  const long long j0 =
+      static_cast<long long>(2 * std::uint64_t{q[3]} + 1 + tw_off);
   const __m128i va = a.to_m128();
   __m512i x = _mm512_castsi256_si512(_mm256_set_m128i(b.to_m128(), va));
   x = _mm512_shuffle_i64x2(x, x, 0x44);  // [a, b, a, b]
@@ -341,18 +344,26 @@ const __m512i* broadcast_round_keys(const FixedKeyAes& aes) {
 }
 
 void garble_and_span_vaes(const FixedKeyAes& aes, const std::uint32_t* quads,
-                          std::size_t n, Label delta, Label* w0, Label* rows) {
+                          std::size_t n, std::uint32_t ob, Label delta,
+                          Label* w0, Label* rows) {
   const __m512i* rk = broadcast_round_keys(aes);
+  // The copy's ordinal base folds into the table base and the tweak step
+  // once per span: per gate, 2*record ordinal + step = 2*global ordinal +
+  // 1/1/2/2, and rows + 2*record ordinal is the gate's global row pair.
+  rows += 2 * std::size_t{ob};
+  const long long tw_off = 2 * static_cast<long long>(ob);
+  const __m512i step = _mm512_set_epi64(0, tw_off + 2, 0, tw_off + 2, 0,
+                                        tw_off + 1, 0, tw_off + 1);
   const __m128i vdelta = delta.to_m128();
   const __m128i sdelta = gf_double_m128(vdelta);
   const __m512i d512 = _mm512_inserti64x2(
       _mm512_inserti64x2(_mm512_setzero_si512(), sdelta, 1), sdelta, 3);
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    garble_gates<8>(rk, quads + 4 * i, vdelta, d512, w0, rows);
+    garble_gates<8>(rk, quads + 4 * i, step, vdelta, d512, w0, rows);
   }
   if (i + 4 <= n) {
-    garble_gates<4>(rk, quads + 4 * i, vdelta, d512, w0, rows);
+    garble_gates<4>(rk, quads + 4 * i, step, vdelta, d512, w0, rows);
     i += 4;
   }
   if (i == n) return;
@@ -365,32 +376,38 @@ void garble_and_span_vaes(const FixedKeyAes& aes, const std::uint32_t* quads,
   // of a batch to pick up one gate.
   const std::size_t r = n - i;
   if (r == 1) {
-    garble_gates<1>(rk, quads + 4 * (n - 1), vdelta, d512, w0, rows);
+    garble_gates<1>(rk, quads + 4 * (n - 1), step, vdelta, d512, w0, rows);
   } else if (r == 2 || n < 4) {
     if (n >= 2) {
-      garble_gates<2>(rk, quads + 4 * (n - 2), vdelta, d512, w0, rows);
-      if (n == 3) garble_gates<1>(rk, quads, vdelta, d512, w0, rows);
+      garble_gates<2>(rk, quads + 4 * (n - 2), step, vdelta, d512, w0, rows);
+      if (n == 3) garble_gates<1>(rk, quads, step, vdelta, d512, w0, rows);
     } else {
-      garble_gates<1>(rk, quads, vdelta, d512, w0, rows);
+      garble_gates<1>(rk, quads, step, vdelta, d512, w0, rows);
     }
   } else {  // r == 3, n >= 4: one 4-chain batch beats serialized <2>+<1>
-    garble_gates<4>(rk, quads + 4 * (n - 4), vdelta, d512, w0, rows);
+    garble_gates<4>(rk, quads + 4 * (n - 4), step, vdelta, d512, w0, rows);
   }
 }
 
 void eval_and_span_vaes(const FixedKeyAes& aes, const std::uint32_t* quads,
-                        std::size_t n, const Label* rows, Label* w) {
+                        std::size_t n, std::uint32_t ob, const Label* rows,
+                        Label* w) {
   const __m512i* rk = broadcast_round_keys(aes);
+  // Ordinal base folded in once per span, as in the garbler.
+  rows += 2 * std::size_t{ob};
+  const std::uint64_t tw_off = 2 * std::uint64_t{ob};
+  const long long t = static_cast<long long>(tw_off);
+  const __m512i step = _mm512_set_epi64(0, t + 2, 0, t + 1, 0, t + 2, 0, t + 1);
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    eval_pairs<8>(rk, quads + 4 * i, rows, w);
+    eval_pairs<8>(rk, quads + 4 * i, step, rows, w);
   }
   if (i + 12 <= n) {
-    eval_pairs<6>(rk, quads + 4 * i, rows, w);
+    eval_pairs<6>(rk, quads + 4 * i, step, rows, w);
     i += 12;
   }
   if (i + 6 <= n) {
-    eval_pairs<3>(rk, quads + 4 * i, rows, w);
+    eval_pairs<3>(rk, quads + 4 * i, step, rows, w);
     i += 6;
   }
   if (i == n) return;
@@ -401,22 +418,22 @@ void eval_and_span_vaes(const FixedKeyAes& aes, const std::uint32_t* quads,
   // circuits, so overlap is kept proportional to the remainder.
   const std::size_t r = n - i;
   if (r <= 2 && n >= 2) {
-    eval_pairs<1>(rk, quads + 4 * (n - 2), rows, w);
+    eval_pairs<1>(rk, quads + 4 * (n - 2), step, rows, w);
   } else if (r <= 4 && n >= 4) {
-    eval_pairs<2>(rk, quads + 4 * (n - 4), rows, w);
+    eval_pairs<2>(rk, quads + 4 * (n - 4), step, rows, w);
   } else if (n >= 6) {
-    eval_pairs<3>(rk, quads + 4 * (n - 6), rows, w);
+    eval_pairs<3>(rk, quads + 4 * (n - 6), step, rows, w);
   } else {
     // n < 6 and no covering batch: exact drain (n in {1, 3, 5}).
     if (i + 4 <= n) {
-      eval_pairs<2>(rk, quads + 4 * i, rows, w);
+      eval_pairs<2>(rk, quads + 4 * i, step, rows, w);
       i += 4;
     }
     if (i + 2 <= n) {
-      eval_pairs<1>(rk, quads + 4 * i, rows, w);
+      eval_pairs<1>(rk, quads + 4 * i, step, rows, w);
       i += 2;
     }
-    if (i < n) eval_gate_tail(rk, quads + 4 * i, rows, w);
+    if (i < n) eval_gate_tail(rk, quads + 4 * i, tw_off, rows, w);
   }
 }
 

@@ -109,12 +109,15 @@ TableTransfer GcSession::default_table_transfer() {
 }
 
 void GcSession::offline(const Circuit& circuit, RevealTo reveal) {
-  circuit_ = circuit;
-  reveal_ = reveal;
   // Layering is computed before the timed region starts so garble and eval
-  // share one cached copy (and the parallel regions never race on it).
-  const CircuitLayers& lay = circuit_.layers();
-  const std::size_t total_rows = 2 * lay.and_count;
+  // share one copy (and the parallel regions never race on it).
+  offline(ReplicatedCircuit(circuit), reveal);
+}
+
+void GcSession::offline(ReplicatedCircuit circuit, RevealTo reveal) {
+  circuit_ = std::move(circuit);
+  reveal_ = reveal;
+  const std::size_t total_rows = 2 * circuit_.and_count();
 
   CpuWallTimer timer;
   Garbler garbler(rng_);
@@ -141,7 +144,7 @@ void GcSession::offline(const Circuit& circuit, RevealTo reveal) {
   }
   stats_.garble_seconds += timer.wall_seconds();
   stats_.garble_cpu_seconds += timer.cpu_seconds();
-  stats_.and_gates += lay.and_count;
+  stats_.and_gates += circuit_.and_count();
   stats_.table_bytes += gc_.table.byte_size();
 
   // Evaluator side: parse the tables off the wire.
@@ -222,7 +225,7 @@ std::vector<bool> GcSession::online(const std::vector<bool>& garbler_bits,
   }
   const std::size_t ng = garbler_bits.size();
   const std::size_t ne = evaluator_bits.size();
-  if (static_cast<std::int32_t>(ng + ne) != circuit_.num_inputs) {
+  if (ng + ne != circuit_.num_inputs()) {
     throw std::invalid_argument("GcSession::online: input count mismatch");
   }
 

@@ -50,8 +50,11 @@ class GcSession {
       : channel_(channel), rng_(garbler_rng), ot_(channel) {}
 
   // Offline phase: garble and ship the tables (and, if the evaluator may
-  // learn outputs, the decode bits).
+  // learn outputs, the decode bits).  The session shares ownership of the
+  // circuit's layering (never copies the circuit), so the caller may move
+  // or drop `circuit` once this returns.
   void offline(const Circuit& circuit, RevealTo reveal);
+  void offline(ReplicatedCircuit circuit, RevealTo reveal);
 
   // Online phase: exchange input labels, evaluate, reveal.
   // garbler_bits.size() + evaluator_bits.size() must equal num_inputs.
@@ -86,7 +89,7 @@ class GcSession {
   SimulatedOt ot_;
   TableTransfer transfer_ = default_table_transfer();
   std::size_t stream_chunk_rows_ = kDefaultStreamChunkRows;
-  Circuit circuit_;
+  ReplicatedCircuit circuit_;
   GarbledCircuit gc_;
   GarbledTable client_table_;       // evaluator's copy, parsed off the wire
   std::vector<bool> client_decode_; // evaluator's decode bits (if revealed)

@@ -110,7 +110,7 @@ const char* variant_name(PrimerVariant v) {
 PrimerEngine::PrimerEngine(BertWeightsI weights, PrimerVariant variant,
                            HeProfile profile, std::uint64_t seed)
     : w_(std::move(weights)), variant_(variant), profile_(profile),
-      seed_(seed) {
+      seed_(seed), circuits_(std::make_unique<CircuitCache>()) {
   const auto& cfg = w_.config;
   auto pow2 = [](std::size_t v) { return v != 0 && (v & (v - 1)) == 0; };
   if (!pow2(cfg.tokens) || !pow2(cfg.d_model) || !pow2(cfg.head_dim())) {
@@ -125,12 +125,12 @@ PrimerEngine::PrimerEngine(BertWeightsI weights, PrimerVariant variant,
 }
 
 PrimerRunResult PrimerEngine::run(const std::vector<std::size_t>& tokens) {
-  return run_session(tokens, SessionOptions::from_env());
+  return run_session(tokens, SessionOptions::from_env(), &last_partial_);
 }
 
 PrimerRunResult PrimerEngine::run_with_options(
     const std::vector<std::size_t>& tokens, const SessionOptions& options) {
-  return run_session(tokens, options);
+  return run_session(tokens, options, nullptr);
 }
 
 PrimerRunResult PrimerEngine::run_resilient(
@@ -150,7 +150,7 @@ PrimerRunResult PrimerEngine::run_resilient(
   };
   for (;;) {
     try {
-      PrimerRunResult result = run_session(tokens, opts);
+      PrimerRunResult result = run_session(tokens, opts, &last_partial_);
       result.restarts = restarts;
       result.prior_attempt_bytes = prior_bytes;
       return result;
@@ -165,7 +165,8 @@ PrimerRunResult PrimerEngine::run_resilient(
 }
 
 PrimerRunResult PrimerEngine::run_session(
-    const std::vector<std::size_t>& tokens, const SessionOptions& options) {
+    const std::vector<std::size_t>& tokens, const SessionOptions& options,
+    std::unique_ptr<PrimerRunResult>* partial_out) {
   const auto& cfg = w_.config;
   const std::size_t n = cfg.tokens;
   const std::size_t dh = cfg.head_dim();
@@ -179,6 +180,7 @@ PrimerRunResult PrimerEngine::run_session(
     pc.start_session();
     return run_protocol(tokens, pc);
   } catch (...) {
+    if (partial_out == nullptr) throw;
     // Snapshot what the attempt accrued before the fault so callers (and
     // run_resilient's byte accounting) see partial costs and the smallest
     // noise margin observed.
@@ -188,7 +190,7 @@ PrimerRunResult PrimerEngine::run_session(
     // decryptor's pending margin telemetry in directly.
     partial->min_noise_margin_bits =
         std::min(partial->min_noise_margin_bits, pc.dec.take_min_margin());
-    last_partial_ = std::move(partial);
+    *partial_out = std::move(partial);
     throw;
   }
 }
@@ -320,6 +322,9 @@ PrimerRunResult PrimerEngine::run_protocol(
   pc.checkpoint("key_transfer");
 
   // --- GC stages ----------------------------------------------------------
+  // Every circuit comes pre-layered from the model's cache; only the first
+  // session of the model builds and layers them.
+  CircuitCache& circuits = *circuits_;
   auto act_circuit = [&](std::size_t count, std::size_t shift, Activation a) {
     ActivationCircuitSpec spec;
     spec.t = t;
@@ -327,7 +332,7 @@ PrimerRunResult PrimerEngine::run_protocol(
     spec.frac_shift = shift;
     spec.act = a;
     spec.fmt = w_.fmt;
-    return make_activation_circuit(spec);
+    return circuits.activation(spec);
   };
   auto softmax_circuit = [&](std::size_t shift) {
     SoftmaxCircuitSpec spec;
@@ -335,7 +340,7 @@ PrimerRunResult PrimerEngine::run_protocol(
     spec.count = n;
     spec.frac_shift = shift;
     spec.fmt = w_.fmt;
-    return make_softmax_circuit(spec);
+    return circuits.softmax(spec);
   };
   auto ln_circuit = [&](const std::vector<std::int64_t>& gamma,
                         const std::vector<std::int64_t>& beta) {
@@ -346,7 +351,7 @@ PrimerRunResult PrimerEngine::run_protocol(
     spec.gamma = gamma;
     spec.beta = beta;
     spec.fmt = w_.fmt;
-    return make_layernorm_circuit(spec);
+    return circuits.layernorm(spec);
   };
 
   GcStage gc_embed(pc, act_circuit(n * d, 0, Activation::kIdentity),

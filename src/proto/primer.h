@@ -13,11 +13,17 @@
 // Protocol state between steps is the HGS invariant: for every activation X,
 // the server holds D = X - R and the client holds the mask R (additive
 // shares of X over Z_t).
+//
+// The garbled circuits are model-scoped: the engine owns one CircuitCache,
+// and the first session that needs a circuit builds and layers it; every
+// later session (of this engine, or of any PrimerServer worker hosting the
+// model) garbles the same immutable layering with fresh randomness.
 #pragma once
 
 #include <memory>
 #include <vector>
 
+#include "gc/circuit_cache.h"
 #include "nn/model.h"
 #include "proto/attention.h"
 #include "proto/linear.h"
@@ -120,23 +126,30 @@ class PrimerEngine {
   // faults, deadline, cancel token, progress heartbeat, drain flag).  No
   // internal retry loop: every failure — including retryable transport
   // errors, OperationCancelled and SessionDrained — propagates to the
-  // caller, which owns the attempt/restart policy.  The serving runtime
-  // (src/serving/) builds its per-session loop on this.
+  // caller, which owns the attempt/restart policy.  Safe to call from
+  // several threads at once on one engine (it leaves last_partial()
+  // alone): the serving runtime (src/serving/) runs every session of a
+  // hosted model through one engine this way.
   PrimerRunResult run_with_options(const std::vector<std::size_t>& tokens,
                                    const SessionOptions& options);
 
-  // Telemetry from the most recent failed attempt (costs accrued before the
-  // fault, min noise margin observed); null until a run throws.
+  // Telemetry from the most recent failed run() / run_resilient() attempt
+  // (costs accrued before the fault, min noise margin observed); null
+  // until one throws.
   const PrimerRunResult* last_partial() const { return last_partial_.get(); }
 
   const BertWeightsI& weights() const { return w_; }
   PrimerVariant variant() const { return variant_; }
+  HeProfile profile() const { return profile_; }
+  std::uint64_t seed() const { return seed_; }
 
  private:
-  // One protocol attempt under explicit session options.  Fills
-  // last_partial_ and rethrows on failure.
+  // One protocol attempt under explicit session options.  On failure,
+  // stores the partial telemetry into *partial_out (when non-null) and
+  // rethrows.
   PrimerRunResult run_session(const std::vector<std::size_t>& tokens,
-                              const SessionOptions& options);
+                              const SessionOptions& options,
+                              std::unique_ptr<PrimerRunResult>* partial_out);
   // The protocol body proper, over an already-constructed context.
   PrimerRunResult run_protocol(const std::vector<std::size_t>& tokens,
                                ProtocolContext& pc);
@@ -153,6 +166,7 @@ class PrimerEngine {
   PrimerVariant variant_;
   HeProfile profile_;
   std::uint64_t seed_;
+  std::unique_ptr<CircuitCache> circuits_;
   std::unique_ptr<PrimerRunResult> last_partial_;
 };
 

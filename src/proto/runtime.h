@@ -159,9 +159,12 @@ class ProtocolContext {
 };
 
 // One garbled-circuit protocol stage with offline/online cost attribution.
+// The circuit is borrowed: a ReplicatedCircuit shares ownership of an
+// immutable, already-layered template (usually from the model's
+// CircuitCache), so a stage never builds, layers or copies a circuit.
 class GcStage {
  public:
-  GcStage(ProtocolContext& pc, Circuit circuit, RevealTo reveal)
+  GcStage(ProtocolContext& pc, ReplicatedCircuit circuit, RevealTo reveal)
       : pc_(pc), session_(pc.framed, pc.server_rng),
         circuit_(std::move(circuit)), reveal_(reveal) {}
 
@@ -185,7 +188,6 @@ class GcStage {
   }
 
   const GcStats& stats() const { return session_.stats(); }
-  const Circuit& circuit() const { return circuit_; }
 
  private:
   // Charges the session-stat delta of one offline/online call into the
@@ -210,7 +212,7 @@ class GcStage {
 
   ProtocolContext& pc_;
   GcSession session_;
-  Circuit circuit_;
+  ReplicatedCircuit circuit_;
   RevealTo reveal_;
 };
 

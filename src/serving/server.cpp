@@ -33,9 +33,14 @@ bool SessionTicket::done() const {
 }
 
 PrimerServer::PrimerServer(std::vector<ModelSpec> models, ServerConfig cfg)
-    : models_(std::move(models)), cfg_(cfg), sessions_(cfg.store_dir) {
-  if (models_.empty()) {
+    : cfg_(cfg), sessions_(cfg.store_dir) {
+  if (models.empty()) {
     throw std::invalid_argument("PrimerServer: at least one model required");
+  }
+  engines_.reserve(models.size());
+  for (ModelSpec& m : models) {
+    engines_.push_back(std::make_unique<PrimerEngine>(
+        std::move(m.weights), m.variant, m.profile, m.seed));
   }
   const std::size_t n = std::max<std::size_t>(1, cfg_.workers);
   cfg_.workers = n;
@@ -57,12 +62,12 @@ PrimerServer::~PrimerServer() {
 
 std::uint64_t PrimerServer::request_fingerprint(
     const InferenceRequest& req) const {
-  const ModelSpec& spec = models_[req.model];
+  const PrimerEngine& engine = *engines_[req.model];
   ByteWriter w;
   w.u64(req.model);
-  w.u64(spec.seed);
-  w.u8(static_cast<std::uint8_t>(spec.variant));
-  w.u8(static_cast<std::uint8_t>(spec.profile));
+  w.u64(engine.seed());
+  w.u8(static_cast<std::uint8_t>(engine.variant()));
+  w.u8(static_cast<std::uint8_t>(engine.profile()));
   w.u64(req.tokens.size());
   for (const std::size_t t : req.tokens) w.u64(t);
   const std::uint32_t crc = crc32c(w.data().data(), w.size());
@@ -109,7 +114,7 @@ std::shared_ptr<SessionTicket> PrimerServer::try_submit(InferenceRequest req,
   if (req.client_id == 0) {
     throw std::invalid_argument("PrimerServer::submit: client_id must be nonzero");
   }
-  if (req.model >= models_.size()) {
+  if (req.model >= engines_.size()) {
     throw std::invalid_argument("PrimerServer::submit: model index " +
                                 std::to_string(req.model) + " out of range");
   }
@@ -194,8 +199,7 @@ void PrimerServer::serve(const std::shared_ptr<SessionTicket>& t) {
       break;
   }
 
-  const ModelSpec& spec = models_[t->req_.model];
-  PrimerEngine engine(spec.weights, spec.variant, spec.profile, spec.seed);
+  PrimerEngine& engine = *engines_[t->req_.model];
   SessionOptions opts;
   opts.store = lease.store;
   opts.session_id = t->req_.client_id;

@@ -21,6 +21,10 @@
 //     (SessionDrained), force-cancel stragglers at the drain deadline.
 //   * Observability: ServerStats snapshots (accepted/shed/evicted/...,
 //     queue depth, p50/p99 latency) plus per-session SessionProgress.
+//   * Shared circuits: each hosted model is one PrimerEngine that every
+//     worker runs its sessions through, so the model's garbled circuits
+//     are built and layered once (by whichever session needs them first)
+//     and shared by all later sessions.
 //
 // Worker threads dispatch into the global parallel executor one at a time
 // (dispatches serialize on the executor lock), so intra-session parallelism
@@ -206,7 +210,8 @@ class PrimerServer {
   // Returns true if one was cancelled.  Caller holds mu_.
   bool evict_longest_stalled_locked();
 
-  std::vector<ModelSpec> models_;
+  // One engine per hosted model (weights moved in from its ModelSpec).
+  std::vector<std::unique_ptr<PrimerEngine>> engines_;
   ServerConfig cfg_;
   SessionManager sessions_;
   std::atomic<bool> drain_flag_{false};

@@ -3,11 +3,19 @@
 // and the two-party GcSession over the simulated channel.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "common/parallel.h"
 #include "gc/aes.h"
 #include "gc/circuit.h"
 #include "gc/fixed_circuit_suite.h"
 #include "gc/fixed_circuits.h"
 #include "gc/garble.h"
+#include "gc/garble_kernels.h"
 #include "gc/protocol.h"
 
 namespace primer {
@@ -398,41 +406,105 @@ TEST(Circuit, LayersPartitionGatesWithMonotoneWatermarks) {
 }
 
 // The batched, level-ordered garbler/evaluator must produce bit-identical
-// tables, labels, and outputs to the seed's serial single-block-AES paths.
+// tables, labels, outputs and streamed (row_begin, row_count) spans to the
+// seed's serial single-block-AES paths, on every kernel tier and thread
+// count.  Inputs: every fixed circuit, and the replicated form of each
+// activation circuit (one count = 1 template, `count` copies), which must
+// match the reference on the monolithic make_activation_circuit(count) it
+// stands for.
 TEST(Garble, BatchedMatchesSerialReferenceBitExact) {
+  struct Case {
+    std::string name;
+    Circuit mono;
+    ReplicatedCircuit form;
+  };
+  std::vector<Case> cases;
   for (const auto& [name, circ] : fixed_circuit_suite()) {
-    SCOPED_TRACE(name);
-    Rng rng_new(4242), rng_ref(4242);
-    Garbler g(rng_new);
-    const GarbledCircuit got = g.garble(circ);
-    const GarbledCircuit want = garble_reference(circ, rng_ref);
+    cases.push_back({name, circ, ReplicatedCircuit(circ)});
+  }
+  for (const auto& [name, act] :
+       {std::pair<const char*, Activation>{"identity", Activation::kIdentity},
+        {"relu", Activation::kRelu},
+        {"gelu", Activation::kGelu}}) {
+    ActivationCircuitSpec spec;
+    spec.t = kGcSuitePrime;
+    spec.frac_shift = 8;
+    spec.act = act;
+    const auto tmpl = make_activation_circuit(spec).layered();
+    for (const std::size_t count : {1, 3, 64, 256}) {
+      spec.count = count;
+      cases.push_back({std::string(name) + " replicated x" +
+                           std::to_string(count),
+                       make_activation_circuit(spec),
+                       ReplicatedCircuit(tmpl, count, 3)});
+    }
+  }
 
-    EXPECT_TRUE(got.delta == want.delta);
-    ASSERT_EQ(got.table.rows.size(), want.table.rows.size());
-    for (std::size_t i = 0; i < want.table.rows.size(); ++i) {
-      ASSERT_TRUE(got.table.rows[i] == want.table.rows[i])
-          << name << " table row " << i;
+  // Restores the kernel tier and thread count the sweep below changes.
+  struct Restore {
+    const char* tier = std::getenv("PRIMER_GC_KERNEL");
+    std::string saved = tier != nullptr ? tier : "";
+    std::size_t threads = num_threads();
+    ~Restore() {
+      if (tier != nullptr) {
+        setenv("PRIMER_GC_KERNEL", saved.c_str(), 1);
+      } else {
+        unsetenv("PRIMER_GC_KERNEL");
+      }
+      set_num_threads(threads);
     }
-    ASSERT_EQ(got.input_labels0.size(), want.input_labels0.size());
-    for (std::size_t i = 0; i < want.input_labels0.size(); ++i) {
-      ASSERT_TRUE(got.input_labels0[i] == want.input_labels0[i]);
-    }
-    ASSERT_EQ(got.output_labels0.size(), want.output_labels0.size());
-    for (std::size_t i = 0; i < want.output_labels0.size(); ++i) {
-      ASSERT_TRUE(got.output_labels0[i] == want.output_labels0[i]);
-    }
+  } restore;
+  std::vector<std::string> tiers = {"sse"};
+  setenv("PRIMER_GC_KERNEL", "vaes", 1);
+  if (std::string(gc_kernel_name()) == "vaes") tiers.push_back("vaes");
 
+  using Spans = std::vector<std::pair<std::size_t, std::size_t>>;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Circuit& mono = c.mono;
+    ASSERT_EQ(c.form.num_inputs(), static_cast<std::size_t>(mono.num_inputs));
+    ASSERT_EQ(c.form.num_outputs(), mono.outputs.size());
+    ASSERT_EQ(c.form.and_count(), mono.and_count());
+    Rng rng_ref(4242);
+    const GarbledCircuit want = garble_reference(mono, rng_ref);
     // Active-label evaluation agrees too, on random inputs.
     Rng in_rng(99);
-    std::vector<Label> active(static_cast<std::size_t>(circ.num_inputs));
+    std::vector<Label> active(static_cast<std::size_t>(mono.num_inputs));
     for (std::size_t i = 0; i < active.size(); ++i) {
-      active[i] = Garbler::active_input(got, i, in_rng.next() & 1);
+      active[i] = Garbler::active_input(want, i, in_rng.next() & 1);
     }
-    const auto out_new = GcEvaluator::eval(circ, got.table, active);
-    const auto out_ref = eval_reference(circ, want.table, active);
-    ASSERT_EQ(out_new.size(), out_ref.size());
-    for (std::size_t i = 0; i < out_ref.size(); ++i) {
-      ASSERT_TRUE(out_new[i] == out_ref[i]) << name << " output " << i;
+    const auto want_out = eval_reference(mono, want.table, active);
+    Spans want_spans;
+    {
+      set_num_threads(1);
+      Rng rng(4242);
+      Garbler(rng).garble(mono, [&](const Label*, std::size_t lo,
+                                    std::size_t hi) {
+        want_spans.emplace_back(lo, hi - lo);
+      });
+    }
+
+    for (const std::string& tier : tiers) {
+      setenv("PRIMER_GC_KERNEL", tier.c_str(), 1);
+      for (const std::size_t threads : {1, 4}) {
+        SCOPED_TRACE(tier + " threads " + std::to_string(threads));
+        set_num_threads(threads);
+        Rng rng(4242);
+        Spans spans;
+        const GarbledCircuit got = Garbler(rng).garble(
+            c.form, [&](const Label*, std::size_t lo, std::size_t hi) {
+              spans.emplace_back(lo, hi - lo);
+            });
+        EXPECT_EQ(spans, want_spans);
+        ASSERT_TRUE(got.delta == want.delta);
+        ASSERT_EQ(got.table.rows.size(), want.table.rows.size());
+        for (std::size_t i = 0; i < want.table.rows.size(); ++i) {
+          ASSERT_TRUE(got.table.rows[i] == want.table.rows[i]) << "row " << i;
+        }
+        ASSERT_EQ(got.input_labels0, want.input_labels0);
+        ASSERT_EQ(got.output_labels0, want.output_labels0);
+        EXPECT_EQ(GcEvaluator::eval(c.form, got.table, active), want_out);
+      }
     }
   }
 }
@@ -510,6 +582,45 @@ TEST(GcSession, StreamedMatchesMonolithic) {
     EXPECT_GE(stats.garble_cpu_seconds, 0.0);
     EXPECT_GE(stats.eval_cpu_seconds, 0.0);
   }
+}
+
+// A GcSession over the replicated form ships the same streamed chunks and
+// reveals the same bits as one over the monolithic circuit.
+TEST(GcSession, ReplicatedSessionMatchesMonolithic) {
+  ActivationCircuitSpec spec;
+  spec.t = kGcSuitePrime;
+  spec.count = 16;
+  spec.frac_shift = 8;
+  spec.act = Activation::kGelu;
+  const Circuit mono = make_activation_circuit(spec);
+  ActivationCircuitSpec one = spec;
+  one.count = 1;
+  const ReplicatedCircuit rep(make_activation_circuit(one).layered(),
+                              spec.count, 3);
+  Rng in_rng(99);
+  std::vector<bool> gbits, ebits;
+  const std::size_t ng = rep.num_inputs() / 3;
+  for (std::size_t i = 0; i < rep.num_inputs(); ++i) {
+    (i < ng ? gbits : ebits).push_back(in_rng.next() & 1);
+  }
+  auto run = [&](auto&& circuit) {
+    Channel ch;
+    FramedChannel fch(ch, FaultSpec{}, RetryPolicy{});
+    Rng rng(31);
+    GcSession session(fch, rng);
+    session.set_table_transfer(TableTransfer::kStreamed);
+    session.set_stream_chunk_rows(64);
+    session.offline(circuit, RevealTo::kBoth);
+    auto out = session.online(gbits, ebits);
+    return std::make_tuple(out, session.stats(), ch.total_bytes());
+  };
+  const auto [mono_out, mono_stats, mono_bytes] = run(mono);
+  const auto [rep_out, rep_stats, rep_bytes] = run(rep);
+  EXPECT_EQ(rep_out, mono_out);
+  EXPECT_EQ(rep_stats.and_gates, mono_stats.and_gates);
+  EXPECT_EQ(rep_stats.table_chunks, mono_stats.table_chunks);
+  EXPECT_EQ(rep_stats.streamed_table_bytes, mono_stats.streamed_table_bytes);
+  EXPECT_EQ(rep_bytes, mono_bytes);
 }
 
 TEST(PackBits, RoundTrip) {

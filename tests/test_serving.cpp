@@ -20,6 +20,7 @@
 #include "common/rng.h"
 #include "core/primer_api.h"
 #include "nn/model.h"
+#include "proto/primer.h"
 #include "nn/train.h"
 #include "serving/server.h"
 
@@ -104,6 +105,67 @@ TEST(Serving, RejectsMalformedRequests) {
   InferenceRequest bad = request(1);
   bad.model = 7;
   EXPECT_THROW(server.submit(std::move(bad)), std::invalid_argument);
+}
+
+// --- model-scoped circuit cache ----------------------------------------------
+
+// Two hosted models that differ only in their LayerNorm gamma/beta bake
+// different constants into their LN circuits: each must get its own
+// circuits (and, inside one model, LN1 and LN2 must not share one), so
+// each model returns its own reference logits.
+TEST(Serving, ModelsDifferingOnlyInLayerNormKeepTheirOwnCircuits) {
+  const BertWeightsI& a = fixture().weights;
+  BertWeightsI b = a;
+  for (auto& blk : b.blocks) {
+    for (auto& g : blk.ln1_gamma) g = -g / 2;
+    for (auto& v : blk.ln2_beta) v += fp_encode(0.5, b.fmt);
+  }
+  const auto ref_a = fixed_forward_chgs(a, kTokens);
+  const auto ref_b = fixed_forward_chgs(b, kTokens);
+  ASSERT_NE(ref_a, ref_b);  // the LN parameters must matter
+
+  ModelSpec spec_a, spec_b;
+  spec_a.weights = a;
+  spec_a.variant = PrimerVariant::kFPC;
+  spec_b.weights = b;
+  spec_b.variant = PrimerVariant::kFPC;
+  ServerConfig cfg;
+  cfg.workers = 2;
+  PrimerServer server({spec_a, spec_b}, cfg);
+  InferenceRequest ra = request(1), rb = request(2);
+  rb.model = 1;
+  auto ta = server.submit(std::move(ra));
+  auto tb = server.submit(std::move(rb));
+  const SessionOutcome oa = ta->wait();
+  const SessionOutcome ob = tb->wait();
+  ASSERT_EQ(oa.status, SessionStatus::kCompleted) << oa.error;
+  ASSERT_EQ(ob.status, SessionStatus::kCompleted) << ob.error;
+  EXPECT_EQ(oa.result.logits, ref_a);
+  EXPECT_EQ(ob.result.logits, ref_b);
+  // Warm second round through the filled caches, models swapped in order.
+  InferenceRequest rb2 = request(2), ra2 = request(1);
+  rb2.model = 1;
+  EXPECT_EQ(server.infer(std::move(rb2)).result.logits, ref_b);
+  EXPECT_EQ(server.infer(std::move(ra2)).result.logits, ref_a);
+}
+
+// Two workers race the first fill of one model's cold circuit cache; both
+// sessions must come out bit-identical (circuits are published only once
+// fully layered).  Runs under the TSan serving leg as well.
+TEST(Serving, ConcurrentColdCacheFillIsBitIdentical) {
+  ServerConfig cfg;
+  cfg.workers = 2;
+  PrimerServer server({nano_spec()}, cfg);
+  auto t1 = server.submit(request(1));
+  auto t2 = server.submit(request(2));
+  const SessionOutcome o1 = t1->wait();
+  const SessionOutcome o2 = t2->wait();
+  ASSERT_EQ(o1.status, SessionStatus::kCompleted) << o1.error;
+  ASSERT_EQ(o2.status, SessionStatus::kCompleted) << o2.error;
+  EXPECT_EQ(o1.result.logits, fixture().ref);
+  EXPECT_EQ(o2.result.logits, o1.result.logits);
+  EXPECT_EQ(o2.result.gc_and_gates, o1.result.gc_and_gates);
+  EXPECT_EQ(o2.result.total_bytes, o1.result.total_bytes);
 }
 
 // --- per-session fault isolation ---------------------------------------------
