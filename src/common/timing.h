@@ -77,9 +77,8 @@ struct PhaseCost {
   double gc_garble_cpu_seconds = 0.0;
   double gc_eval_seconds = 0.0;
   double gc_eval_cpu_seconds = 0.0;
-  std::uint64_t gc_table_bytes = 0;           // garbled-table payload shipped
-  std::uint64_t gc_streamed_table_bytes = 0;  // of which via kGcTableChunk
-  std::uint64_t gc_table_chunks = 0;          // streamed spans shipped
+  std::uint64_t gc_table_bytes = 0;   // garbled-table payload shipped
+  std::uint64_t gc_table_chunks = 0;  // kGcTableChunk frames shipped
   // Retry-layer traffic (frames resent after injected faults plus their
   // bytes, control requests included in bytes_sent already).
   std::uint64_t retransmits = 0;
@@ -106,7 +105,6 @@ struct PhaseCost {
     gc_eval_seconds += o.gc_eval_seconds;
     gc_eval_cpu_seconds += o.gc_eval_cpu_seconds;
     gc_table_bytes += o.gc_table_bytes;
-    gc_streamed_table_bytes += o.gc_streamed_table_bytes;
     gc_table_chunks += o.gc_table_chunks;
     retransmits += o.retransmits;
     retransmit_bytes += o.retransmit_bytes;

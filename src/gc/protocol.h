@@ -21,20 +21,10 @@ namespace primer {
 
 enum class RevealTo { kGarbler, kEvaluator, kBoth };
 
-// How the garbled tables travel in the offline phase.
-//   kMonolithic — one kGcTables frame once garbling finishes (seed behavior).
-//   kStreamed   — kGcTableChunk frames ship each dependency level's finalized
-//                 table prefix while later levels are still being garbled,
-//                 overlapping garbling compute with transfer.
-// Default comes from PRIMER_GC_STREAM (unset/1/on -> streamed; 0/off ->
-// monolithic).  Both modes deliver bit-identical tables.
-enum class TableTransfer { kMonolithic, kStreamed };
-
 struct GcStats {
   std::size_t and_gates = 0;
-  std::size_t table_bytes = 0;           // garbled-table payload (either mode)
-  std::size_t streamed_table_bytes = 0;  // of which shipped via kGcTableChunk
-  std::size_t table_chunks = 0;          // streamed spans shipped
+  std::size_t table_bytes = 0;   // garbled-table payload
+  std::size_t table_chunks = 0;  // kGcTableChunk frames shipped
   double garble_seconds = 0;       // offline compute, wall
   double garble_cpu_seconds = 0;   // offline compute, aggregate CPU
   double eval_seconds = 0;         // online compute, wall
@@ -50,9 +40,12 @@ class GcSession {
       : channel_(channel), rng_(garbler_rng), ot_(channel) {}
 
   // Offline phase: garble and ship the tables (and, if the evaluator may
-  // learn outputs, the decode bits).  The session shares ownership of the
-  // circuit's layering (never copies the circuit), so the caller may move
-  // or drop `circuit` once this returns.
+  // learn outputs, the decode bits).  The tables travel as kGcTableChunk
+  // frames, each carrying a dependency level's finalized table prefix while
+  // later levels are still being garbled, so transfer overlaps garbling.
+  // The session shares ownership of the circuit's layering (never copies
+  // the circuit), so the caller may move or drop `circuit` once this
+  // returns.
   void offline(const Circuit& circuit, RevealTo reveal);
   void offline(ReplicatedCircuit circuit, RevealTo reveal);
 
@@ -64,20 +57,14 @@ class GcSession {
 
   const GcStats& stats() const { return stats_; }
 
-  // Table-transfer mode and the minimum rows per streamed chunk (watermark
-  // spans are coalesced up to this size so carry-chain circuits, whose
-  // levels finalize a few rows at a time, do not flood the wire with tiny
-  // frames).  Both must be set before offline(); tests use them to pin a
-  // mode and to force many small chunks through the fault-injected wire.
-  void set_table_transfer(TableTransfer t) { transfer_ = t; }
+  // Minimum rows per table chunk (watermark spans are coalesced up to this
+  // size so carry-chain circuits, whose levels finalize a few rows at a
+  // time, do not flood the wire with tiny frames).  Must be set before
+  // offline(); tests use it to force many small chunks through the
+  // fault-injected wire.
   void set_stream_chunk_rows(std::size_t rows) {
     stream_chunk_rows_ = rows > 0 ? rows : 1;
   }
-  TableTransfer table_transfer() const { return transfer_; }
-
-  // Resolves PRIMER_GC_STREAM (unset/1/on -> kStreamed, 0/off ->
-  // kMonolithic).
-  static TableTransfer default_table_transfer();
 
   // 4096 rows = 64 KiB per chunk: large enough to amortize framing, small
   // enough that transfer overlaps garbling on every fixed circuit.
@@ -87,7 +74,6 @@ class GcSession {
   FramedChannel& channel_;
   Rng& rng_;
   SimulatedOt ot_;
-  TableTransfer transfer_ = default_table_transfer();
   std::size_t stream_chunk_rows_ = kDefaultStreamChunkRows;
   ReplicatedCircuit circuit_;
   GarbledCircuit gc_;

@@ -442,15 +442,15 @@ HoistedKeySwitch::HoistedKeySwitch(const HeContext& ctx, const RnsPoly& c,
     return cbase != nullptr ? cbase + i * n_ : coeff_src->limb(i);
   };
   // Digit transforms use the LAZY-OUTPUT forward NTT: the final [0, p)
-  // correction sweep is skipped and digit limbs stay in [0, 4p).  Both
-  // consumers tolerate that — shoup_mul_acc_lazy2 accepts any redundant
+  // correction sweep is skipped and digit limbs stay in [0, 4p).  The
+  // consumer tolerates that — shoup_mul_acc_lazy2 accepts any redundant
   // residue (any 64-bit value on the 64-convention tiers, anything below
   // 2^52 on avx512ifma, and 4p < 2^52 holds at its p < 2^50 dispatch
-  // bound), and the 128-bit fallback re-reduces on the fly in apply().
-  // Every gadget-digit transform therefore drops one full pass over the
-  // polynomial.  Final key-switch outputs stay bit-identical to canonical
-  // digits: the accumulated lanes are fully reduced by add_reduce2p, and
-  // congruent-mod-p inputs land on the same canonical result.
+  // bound).  Every gadget-digit transform therefore drops one full pass
+  // over the polynomial.  Final key-switch outputs stay bit-identical to
+  // canonical digits: the accumulated lanes are fully reduced by
+  // add_reduce2p, and congruent-mod-p inputs land on the same canonical
+  // result.
   if (decomp_bits == 0) {
     // CRT digits: digit(i, j) = (c mod q_i) mod q_j.  The diagonal is the
     // residue itself — for NTT-form input its transform is limb i verbatim,
@@ -505,15 +505,16 @@ void HoistedKeySwitch::apply(u64 elt, const KSwitchKey& key, RnsPoly& acc0,
     throw std::invalid_argument(
         "HoistedKeySwitch::apply: key decomposition mismatch");
   }
+  if (!key.has_shoup()) {
+    throw std::invalid_argument(
+        "HoistedKeySwitch::apply: key lacks Shoup quotient tables");
+  }
   const std::uint32_t* table =
       elt == 1 ? nullptr : ctx_.galois_ntt_table(elt).data();
-  // Per limb j: accumulate the permuted-digit x key products lazily —
-  // Shoup-lazy when the key carries precomputed quotients (each product
-  // lands in [0, 2p) division-free and one conditional subtract keeps the
-  // running sum there), 128-bit lanes + one closing Barrett sweep
-  // otherwise.  Integer/modular addition commutes exactly, so results are
-  // independent of digit order and thread count.
-  const bool shoup = key.has_shoup();
+  // Per limb j: accumulate the permuted-digit x key products Shoup-lazily —
+  // each product lands in [0, 2p) division-free and one conditional
+  // subtract keeps the running sum there.  Modular addition commutes
+  // exactly, so results are independent of digit order and thread count.
   parallel_for(0, k_, n_ * 16 * digit_count_, [&](std::size_t j) {
     PolyArena& arena = PolyArena::local();
     const NttKernel& kern = ctx_.kernels(j);
@@ -525,71 +526,21 @@ void HoistedKeySwitch::apply(u64 elt, const KSwitchKey& key, RnsPoly& acc0,
       for (std::size_t x = 0; x < n_; ++x) dst[x] = d[table[x]];
       return static_cast<const u64*>(dst);
     };
-    if (shoup) {
-      auto lane_b = arena.checkout(n_);
-      auto lane_a = arena.checkout(n_);
-      lane_b.zero();
-      lane_a.zero();
-      for (std::size_t f = 0; f < digit_count_; ++f) {
-        const u64* d = permute(digit(f, j));
-        kern.shoup_mul_acc_lazy2(lane_b.data(), lane_a.data(), d,
-                                 key.b[f].limb(j), key.b_shoup[f].limb(j),
-                                 key.a[f].limb(j), key.a_shoup[f].limb(j),
-                                 n_, br.modulus());
-      }
-      kern.add_reduce2p(acc0.limb(j), acc0.limb(j), lane_b.data(), n_,
-                        br.modulus());
-      kern.add_reduce2p(acc1.limb(j), acc1.limb(j), lane_a.data(), n_,
-                        br.modulus());
-      return;
-    }
-    // mul_acc_lazy accumulates one unreduced 128-bit product per digit per
-    // lane; the closing Barrett sweep needs the sum below q_j * 2^64, i.e.
-    // every digit limb fully reduced mod q_j so digits * q_j < 2^64 is
-    // exact.  Lazy-staged digits live in [0, 4p) and would break that
-    // bound, so this fallback canonicalizes each limb first (one
-    // reduce_span pass — exactly the pass the Shoup path above saves; its
-    // accumulators never leave [0, 2p) and need no bound at all).  The
-    // shared digits_ stay untouched, so a hoisted set re-canonicalizes
-    // once per apply() — acceptable on this path: it only serves keys
-    // without precomputed quotients (every key this library generates
-    // carries them), and mutating digits_ lazily would need cross-worker
-    // synchronization inside the rotation parallel_for.
-    if (static_cast<u128>(digit_count_) * br.modulus() >=
-        (static_cast<u128>(1) << 64)) {
-      throw std::invalid_argument(
-          "HoistedKeySwitch::apply: digit count * modulus exceeds the "
-          "128-bit lazy accumulation bound; regenerate the key with Shoup "
-          "tables or fewer/narrower digits");
-    }
-    auto canon = table == nullptr ? arena.checkout(n_) : PolyArena::Scratch();
-    auto canonical_digit = [&](const u64* d) {
-      // Permuted digits already live in this thread's perm scratch;
-      // reduce_span may alias out == a, so reduce in place there.
-      u64* dst = table != nullptr ? perm.data() : canon.data();
-      kern.reduce_span(dst, d, n_, br.modulus(), br.ratio_hi());
-      return static_cast<const u64*>(dst);
-    };
-    auto lo_b = arena.checkout(n_);
-    auto hi_b = arena.checkout(n_);
-    auto lo_a = arena.checkout(n_);
-    auto hi_a = arena.checkout(n_);
-    lo_b.zero();
-    hi_b.zero();
-    lo_a.zero();
-    hi_a.zero();
+    auto lane_b = arena.checkout(n_);
+    auto lane_a = arena.checkout(n_);
+    lane_b.zero();
+    lane_a.zero();
     for (std::size_t f = 0; f < digit_count_; ++f) {
-      const u64* d = canonical_digit(permute(digit(f, j)));
-      kern.mul_acc_lazy(lo_b.data(), hi_b.data(), d, key.b[f].limb(j), n_);
-      kern.mul_acc_lazy(lo_a.data(), hi_a.data(), d, key.a[f].limb(j), n_);
+      const u64* d = permute(digit(f, j));
+      kern.shoup_mul_acc_lazy2(lane_b.data(), lane_a.data(), d,
+                               key.b[f].limb(j), key.b_shoup[f].limb(j),
+                               key.a[f].limb(j), key.a_shoup[f].limb(j),
+                               n_, br.modulus());
     }
-    auto tmp = arena.checkout(n_);
-    kern.reduce_acc_span(tmp.data(), lo_b.data(), hi_b.data(), n_,
-                         br.modulus(), br.ratio_hi(), br.ratio_lo());
-    kern.add(acc0.limb(j), acc0.limb(j), tmp.data(), n_, br.modulus());
-    kern.reduce_acc_span(tmp.data(), lo_a.data(), hi_a.data(), n_,
-                         br.modulus(), br.ratio_hi(), br.ratio_lo());
-    kern.add(acc1.limb(j), acc1.limb(j), tmp.data(), n_, br.modulus());
+    kern.add_reduce2p(acc0.limb(j), acc0.limb(j), lane_b.data(), n_,
+                      br.modulus());
+    kern.add_reduce2p(acc1.limb(j), acc1.limb(j), lane_a.data(), n_,
+                      br.modulus());
   });
 }
 

@@ -240,8 +240,7 @@ class HoistedKeySwitch {
   // in the redundant range [0, 4p) (congruent to the canonical transform;
   // the decomp_bits == 0 diagonal reuses canonical ciphertext limbs) — the
   // Shoup-lazy accumulation consumes them directly, saving one full
-  // correction pass per digit limb.  The 128-bit fallback path reduces
-  // them on the fly (see apply()).
+  // correction pass per digit limb.
   PolyArena::Scratch digits_;  // digit_count_ x k limbs, digit-major, NTT
 };
 

@@ -53,7 +53,11 @@ struct KSwitchKey {
 
   bool empty() const { return b.empty(); }
   std::size_t digits() const { return b.size(); }
-  bool has_shoup() const { return b_shoup.size() == b.size() && !b.empty(); }
+  // Key switching requires both quotient tables, one per digit.
+  bool has_shoup() const {
+    return !b.empty() && b_shoup.size() == b.size() &&
+           a_shoup.size() == a.size();
+  }
 };
 
 struct RelinKey {

@@ -37,7 +37,8 @@ enum class MessageKind : std::uint8_t {
   kControl = 0,           // retransmit requests / acks (accounting only)
   kCiphertexts = 1,       // length-framed ciphertext batch
   kRingMatrix = 2,        // packed Z_t share matrix
-  kGcTables = 3,          // garbled tables (offline)
+  // 3 is a retired kind, reserved: per-kind inventories in existing
+  // checkpoints are indexed by value, so it must never be reused.
   kGcDecodeBits = 4,      // output decode bits (offline, evaluator-revealed)
   kGcGarblerLabels = 5,   // garbler's active input labels
   kGcOutputBits = 6,      // revealed output bits / lsbs
@@ -50,7 +51,8 @@ enum class MessageKind : std::uint8_t {
   kKeyMaterial = 13,      // evaluation keys (Galois / relinearization)
 };
 
-// Number of distinct wire kinds; sized for per-kind inventory arrays.
+// One past the largest wire kind value (reserved values included); sizes
+// the per-kind inventory arrays that checkpoints persist.
 inline constexpr std::size_t kMessageKindCount = 14;
 
 inline const char* message_kind_name(MessageKind k) {
@@ -58,7 +60,6 @@ inline const char* message_kind_name(MessageKind k) {
     case MessageKind::kControl: return "control";
     case MessageKind::kCiphertexts: return "ciphertexts";
     case MessageKind::kRingMatrix: return "ring_matrix";
-    case MessageKind::kGcTables: return "gc_tables";
     case MessageKind::kGcDecodeBits: return "gc_decode_bits";
     case MessageKind::kGcGarblerLabels: return "gc_garbler_labels";
     case MessageKind::kGcOutputBits: return "gc_output_bits";

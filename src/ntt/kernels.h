@@ -163,16 +163,6 @@ struct NttKernel {
   // word of floor(2^128 / p) (Barrett::ratio_hi()).  May alias out == a.
   void (*reduce_span)(u64* out, const u64* a, std::size_t n, u64 p,
                       u64 ratio_hi);
-  // Lazy 128-bit accumulate: (hi[i]:lo[i]) += a[i] * b[i], no reduction at
-  // all.  Caller bounds the running sum below p * 2^64 — k accumulated
-  // products of values < p need k * p < 2^64 (k <= 8 at the p < 2^61
-  // library bound).
-  void (*mul_acc_lazy)(u64* lo, u64* hi, const u64* a, const u64* b,
-                       std::size_t n);
-  // out[i] = (hi[i]*2^64 + lo[i]) mod p — the single Barrett sweep that
-  // closes a mul_acc_lazy chain.
-  void (*reduce_acc_span)(u64* out, const u64* lo, const u64* hi,
-                          std::size_t n, u64 p, u64 ratio_hi, u64 ratio_lo);
   // Dual-stream Shoup-lazy accumulate: acc0[i] += a[i] * w0[i] mod⁺ p and
   // acc1[i] += a[i] * w1[i] mod⁺ p in one pass over the shared operand `a`
   // (the key-switch digit, consumed by the key's b and a limbs together).

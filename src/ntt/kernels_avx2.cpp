@@ -386,62 +386,6 @@ void reduce_span_avx2(u64* out, const u64* a, std::size_t n, u64 p,
   }
 }
 
-void mul_acc_lazy_avx2(u64* lo, u64* hi, const u64* a, const u64* b,
-                       std::size_t n) {
-  const __m256i sign =
-      _mm256_set1_epi64x(static_cast<long long>(0x8000000000000000ULL));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i x = load4(a + i);
-    const __m256i y = load4(b + i);
-    const __m256i plo = mul64_lo(x, y);
-    const __m256i phi = mul64_hi(x, y);
-    const __m256i s = _mm256_add_epi64(load4(lo + i), plo);
-    // Unsigned carry: s < plo after the add means the low word wrapped.
-    // cmpgt yields all-ones (-1) on carry; subtracting it adds the carry.
-    const __m256i carry = _mm256_cmpgt_epi64(_mm256_xor_si256(plo, sign),
-                                             _mm256_xor_si256(s, sign));
-    store4(lo + i, s);
-    store4(hi + i, _mm256_sub_epi64(
-                       _mm256_add_epi64(load4(hi + i), phi), carry));
-  }
-  for (; i < n; ++i) {
-    const u128 prod = static_cast<u128>(a[i]) * b[i];
-    const u64 plo = static_cast<u64>(prod);
-    const u64 s = lo[i] + plo;
-    hi[i] += static_cast<u64>(prod >> 64) + (s < plo ? 1 : 0);
-    lo[i] = s;
-  }
-}
-
-void reduce_acc_span_avx2(u64* out, const u64* lo, const u64* hi,
-                          std::size_t n, u64 p, u64 ratio_hi, u64 ratio_lo) {
-  // Same quotient shape as barrett_mul4 with the product words given
-  // directly; requires hi*2^64 + lo < p*2^64 so the quotient fits 64 bits
-  // (guaranteed by the mul_acc_lazy accumulation bound k*p < 2^64).
-  const __m256i vp = bcast(p);
-  const __m256i v2p = bcast(2 * p);
-  const __m256i v4p = bcast(4 * p);
-  const __m256i rhi = bcast(ratio_hi);
-  const __m256i rlo = bcast(ratio_lo);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i l = load4(lo + i);
-    const __m256i h = load4(hi + i);
-    const __m256i q = _mm256_add_epi64(
-        mul64_lo(h, rhi),
-        _mm256_add_epi64(mul64_hi(h, rlo), mul64_hi(l, rhi)));
-    __m256i r = _mm256_sub_epi64(l, mul64_lo(q, vp));
-    r = csub(r, v4p);
-    r = csub(r, v2p);
-    store4(out + i, csub(r, vp));
-  }
-  for (; i < n; ++i) {
-    const u128 acc = (static_cast<u128>(hi[i]) << 64) | lo[i];
-    out[i] = barrett_reduce128(acc, p, ratio_hi, ratio_lo);
-  }
-}
-
 void shoup_mul_acc_lazy2_avx2(u64* acc0, u64* acc1, const u64* a,
                               const u64* w0, const u64* w0_shoup,
                               const u64* w1, const u64* w1_shoup,
@@ -501,8 +445,6 @@ const NttKernel kAvx2Kernel = {
     .mul_acc = mul_acc_avx2,
     .scalar_mul = scalar_mul_avx2,
     .reduce_span = reduce_span_avx2,
-    .mul_acc_lazy = mul_acc_lazy_avx2,
-    .reduce_acc_span = reduce_acc_span_avx2,
     .shoup_mul_acc_lazy2 = shoup_mul_acc_lazy2_avx2,
     .add_reduce2p = add_reduce2p_avx2,
 };

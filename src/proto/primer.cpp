@@ -91,7 +91,6 @@ void summarize_costs(PrimerRunResult& result, const ProtocolContext& pc) {
   result.gc_eval_s = grand.gc_eval_seconds;
   result.gc_eval_cpu_s = grand.gc_eval_cpu_seconds;
   result.gc_table_bytes = grand.gc_table_bytes;
-  result.gc_streamed_table_bytes = grand.gc_streamed_table_bytes;
   result.gc_table_chunks = grand.gc_table_chunks;
 }
 

@@ -54,15 +54,14 @@ struct PrimerRunResult {
   double min_noise_margin_bits = 0;
   // GC nonlinear-layer totals across all stages of the run: AND gates
   // garbled, garble/eval compute split (wall + aggregate CPU), achieved
-  // garbling throughput, and garbled-table traffic (streamed share via
-  // kGcTableChunk frames).
+  // garbling throughput, and garbled-table traffic (payload bytes and the
+  // kGcTableChunk frames that carried it).
   std::uint64_t gc_and_gates = 0;
   double gc_garble_s = 0;
   double gc_garble_cpu_s = 0;
   double gc_eval_s = 0;
   double gc_eval_cpu_s = 0;
   std::uint64_t gc_table_bytes = 0;
-  std::uint64_t gc_streamed_table_bytes = 0;
   std::uint64_t gc_table_chunks = 0;
   // Session-resilience telemetry: restarts survived before this result was
   // produced, the checkpoint epoch the final attempt resumed from (0 =

@@ -205,8 +205,6 @@ class GcStage {
     cost.gc_eval_cpu_seconds +=
         after.eval_cpu_seconds - before.eval_cpu_seconds;
     cost.gc_table_bytes += after.table_bytes - before.table_bytes;
-    cost.gc_streamed_table_bytes +=
-        after.streamed_table_bytes - before.streamed_table_bytes;
     cost.gc_table_chunks += after.table_chunks - before.table_chunks;
   }
 

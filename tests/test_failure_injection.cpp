@@ -148,11 +148,11 @@ TEST(Crc32c, KnownAnswerAndChaining) {
 
 TEST(Frame, EncodeParseRoundTrip) {
   const std::vector<std::uint8_t> payload = {1, 2, 3, 250, 251, 252};
-  const auto frame = encode_frame(MessageKind::kGcTables, 42,
+  const auto frame = encode_frame(MessageKind::kGcTableChunk, 42,
                                   payload.data(), payload.size());
   ASSERT_EQ(frame.size(), FrameHeader::kWireSize + payload.size());
   const FrameHeader h = parse_frame(frame, "test");
-  EXPECT_EQ(h.kind, MessageKind::kGcTables);
+  EXPECT_EQ(h.kind, MessageKind::kGcTableChunk);
   EXPECT_EQ(h.seq, 42u);
   EXPECT_EQ(h.payload_len, payload.size());
   EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
@@ -216,12 +216,13 @@ TEST(FramedChannel, RoundTripAndTypedEmptyRecv) {
             payload);
   // Nothing pending: typed error naming the receiving party and the kind.
   try {
-    (void)fch.recv_expect(Party::kServer, MessageKind::kGcTables);
+    (void)fch.recv_expect(Party::kServer, MessageKind::kGcTableChunk);
     FAIL() << "expected ProtocolError";
   } catch (const ProtocolError& e) {
     EXPECT_EQ(e.kind(), ProtocolErrorKind::kSequenceGap);
     EXPECT_NE(std::string(e.what()).find("server"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("gc_tables"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("gc_table_chunk"),
+              std::string::npos);
   }
 }
 
@@ -274,7 +275,6 @@ std::vector<std::uint8_t> payload_for(MessageKind kind) {
       }
       return w.take();
     }
-    case MessageKind::kGcTables:
     case MessageKind::kGcGarblerLabels:
       return std::vector<std::uint8_t>(8 * sizeof(Label), 0xab);
     case MessageKind::kGcTableChunk: {
@@ -320,13 +320,13 @@ std::vector<std::uint8_t> payload_for(MessageKind kind) {
 // typed ProtocolError from recv_expect (retries disabled), never a crash.
 TEST(CorruptionMatrix, EveryKindEveryFaultThrowsTyped) {
   const MessageKind kinds[] = {
-      MessageKind::kControl,         MessageKind::kCiphertexts,
-      MessageKind::kRingMatrix,      MessageKind::kGcTables,
-      MessageKind::kGcDecodeBits,    MessageKind::kGcGarblerLabels,
-      MessageKind::kGcOutputBits,    MessageKind::kOtSetup,
-      MessageKind::kOtReceiverColumns, MessageKind::kOtSenderMasked,
-      MessageKind::kGcTableChunk,    MessageKind::kSessionHello,
-      MessageKind::kSessionResume,   MessageKind::kKeyMaterial,
+      MessageKind::kControl,           MessageKind::kCiphertexts,
+      MessageKind::kRingMatrix,        MessageKind::kGcDecodeBits,
+      MessageKind::kGcGarblerLabels,   MessageKind::kGcOutputBits,
+      MessageKind::kOtSetup,           MessageKind::kOtReceiverColumns,
+      MessageKind::kOtSenderMasked,    MessageKind::kGcTableChunk,
+      MessageKind::kSessionHello,      MessageKind::kSessionResume,
+      MessageKind::kKeyMaterial,
   };
   enum class Fault { kTruncateHeader, kTruncatePayload, kBitflip, kWrongKind, kReplay };
   const Fault faults[] = {Fault::kTruncateHeader, Fault::kTruncatePayload,
@@ -430,20 +430,23 @@ TEST(CorruptionMatrix, GcLabelPayloadSizeMismatchIsMalformed) {
   FramedChannel fch(ch, FaultSpec{}, no_retry());
   Rng rng(21);
   GcSession session(fch, rng);
-  session.set_table_transfer(TableTransfer::kMonolithic);
-  // Pre-load a checksum-valid kGcTables frame whose payload is one label
-  // short of what the circuit requires; offline() must reject it.
-  const std::size_t table_labels = 2 * circ.and_count();
-  const std::vector<std::uint8_t> bad((table_labels - 1) * sizeof(Label), 0);
-  ch.send(Party::kServer, encode_frame(MessageKind::kGcTables, 0, bad.data(),
-                                       bad.size()));
-  // The session's own send of the true tables lands at seq 1 and is
-  // ignored; the evaluator parses the hostile seq-0 frame first.
+  session.offline(circ, RevealTo::kBoth);
+  // Pre-load a checksum-valid kGcGarblerLabels frame at the next server
+  // sequence number whose payload is one label short of the garbler's
+  // inputs; the evaluator parses it before the session's own copy of that
+  // frame, and online() must reject it.
+  const std::vector<std::uint8_t> bad((w - 1) * sizeof(Label), 0);
+  ch.send(Party::kServer,
+          encode_frame(MessageKind::kGcGarblerLabels,
+                       fch.sent_count(Party::kServer), bad.data(), bad.size()));
   try {
-    session.offline(circ, RevealTo::kBoth);
+    (void)session.online(value_to_bits(1, w), value_to_bits(2, w));
     FAIL() << "expected ProtocolError";
   } catch (const ProtocolError& e) {
     EXPECT_EQ(e.kind(), ProtocolErrorKind::kMalformed) << e.what();
+    EXPECT_NE(std::string(e.what()).find("gc garbler labels"),
+              std::string::npos)
+        << e.what();
   }
 }
 
@@ -482,7 +485,6 @@ TEST(CorruptionMatrix, GcTableChunkStructuralDefectsAreMalformed) {
     FramedChannel fch(ch, FaultSpec{}, no_retry());
     Rng rng(21);
     GcSession session(fch, rng);
-    session.set_table_transfer(TableTransfer::kStreamed);
     ch.send(Party::kServer, encode_frame(MessageKind::kGcTableChunk, 0,
                                          payload.data(), payload.size()));
     try {
@@ -506,12 +508,11 @@ TEST(RetryLayer, GcSessionRecoversUnderDropDupReorder) {
   const Circuit circ = b.build();
   const std::uint64_t x = 40000, y = 30000;
 
-  auto run = [&](const FaultSpec& spec, TableTransfer transfer) {
+  auto run = [&](const FaultSpec& spec) {
     Channel ch;
     FramedChannel fch(ch, spec, RetryPolicy{});
     Rng rng(77);
     GcSession session(fch, rng);
-    session.set_table_transfer(transfer);
     // Tiny chunks force many kGcTableChunk frames through the lossy wire.
     session.set_stream_chunk_rows(2);
     session.offline(circ, RevealTo::kBoth);
@@ -526,24 +527,19 @@ TEST(RetryLayer, GcSessionRecoversUnderDropDupReorder) {
   lossy.duplicate = 0.25;
   lossy.reorder = 0.25;
 
-  for (const TableTransfer transfer :
-       {TableTransfer::kMonolithic, TableTransfer::kStreamed}) {
-    SCOPED_TRACE(transfer == TableTransfer::kStreamed ? "streamed"
-                                                      : "monolithic");
-    const auto clean = run(FaultSpec{}, transfer);
-    ASSERT_EQ(clean.first, (x + y) % t);
-    EXPECT_EQ(clean.second.retransmit_frames, 0u);
+  const auto clean = run(FaultSpec{});
+  ASSERT_EQ(clean.first, (x + y) % t);
+  EXPECT_EQ(clean.second.retransmit_frames, 0u);
 
-    const auto faulty = run(lossy, transfer);
-    // Bit-identical result despite the injected faults...
-    EXPECT_EQ(faulty.first, clean.first);
-    // ...and the recovery work is visible, not silent.
-    EXPECT_GT(faulty.second.retransmit_frames +
-                  faulty.second.duplicates_dropped + faulty.second.retry_rounds,
-              0u);
-    EXPECT_GT(faulty.second.retransmit_bytes + faulty.second.control_bytes,
-              0u);
-  }
+  const auto faulty = run(lossy);
+  // Bit-identical result despite the injected faults...
+  EXPECT_EQ(faulty.first, clean.first);
+  // ...and the recovery work is visible, not silent.
+  EXPECT_GT(faulty.second.retransmit_frames +
+                faulty.second.duplicates_dropped + faulty.second.retry_rounds,
+            0u);
+  EXPECT_GT(faulty.second.retransmit_bytes + faulty.second.control_bytes,
+            0u);
 }
 
 struct EnvGuard {

@@ -538,7 +538,7 @@ TEST(Garble, RowSinkCoversTableInOrder) {
   }
 }
 
-TEST(GcSession, StreamedMatchesMonolithic) {
+TEST(GcSession, ChunkScheduleKeepsOutputAndTableBytes) {
   const std::uint64_t t = 65537;
   const std::size_t w = share_width(t);
   CircuitBuilder b;
@@ -546,36 +546,33 @@ TEST(GcSession, StreamedMatchesMonolithic) {
   const Bus se = b.add_input_bus(w);
   b.set_outputs(b.add_mod(sg, se, t));
   const Circuit circ = b.build();
+  const std::size_t total_rows = 2 * circ.and_count();
   const std::uint64_t x = 31337, y = 27182;
 
-  auto run = [&](TableTransfer transfer, std::size_t chunk_rows) {
+  auto run = [&](std::size_t chunk_rows) {
     Channel ch;
     FramedChannel fch(ch, FaultSpec{}, RetryPolicy{});
     Rng rng(123);
     GcSession session(fch, rng);
-    session.set_table_transfer(transfer);
     session.set_stream_chunk_rows(chunk_rows);
     session.offline(circ, RevealTo::kBoth);
     const auto out = session.online(value_to_bits(x, w), value_to_bits(y, w));
     return std::make_pair(bits_to_value(out), session.stats());
   };
 
-  const auto [mono_out, mono_stats] = run(TableTransfer::kMonolithic, 1);
-  EXPECT_EQ(mono_out, (x + y) % t);
-  EXPECT_EQ(mono_stats.table_chunks, 0u);
-  EXPECT_EQ(mono_stats.streamed_table_bytes, 0u);
-
-  // Chunk sizes straddling one-frame, few-frame, and per-level streaming.
-  for (const std::size_t chunk_rows : {std::size_t{1}, std::size_t{64},
-                                       GcSession::kDefaultStreamChunkRows}) {
+  // Chunk sizes from one row per frame up to the whole table in one frame.
+  for (const std::size_t chunk_rows :
+       {std::size_t{1}, std::size_t{64}, GcSession::kDefaultStreamChunkRows,
+        total_rows}) {
     SCOPED_TRACE(chunk_rows);
-    const auto [out, stats] = run(TableTransfer::kStreamed, chunk_rows);
-    EXPECT_EQ(out, mono_out);
-    EXPECT_EQ(stats.table_bytes, mono_stats.table_bytes);
-    EXPECT_GT(stats.table_chunks, 0u);
-    // Streamed bytes = table payload + one 16-byte header per chunk.
-    EXPECT_EQ(stats.streamed_table_bytes,
-              stats.table_bytes + 16 * stats.table_chunks);
+    const auto [out, stats] = run(chunk_rows);
+    EXPECT_EQ(out, (x + y) % t);
+    EXPECT_EQ(stats.table_bytes, total_rows * sizeof(Label));
+    EXPECT_GE(stats.table_chunks, 1u);
+    EXPECT_LE(stats.table_chunks, total_rows);
+    if (chunk_rows >= total_rows) {
+      EXPECT_EQ(stats.table_chunks, 1u);
+    }
     // Compute split is populated on both sides.
     EXPECT_GT(stats.garble_seconds, 0.0);
     EXPECT_GT(stats.eval_seconds, 0.0);
@@ -608,7 +605,6 @@ TEST(GcSession, ReplicatedSessionMatchesMonolithic) {
     FramedChannel fch(ch, FaultSpec{}, RetryPolicy{});
     Rng rng(31);
     GcSession session(fch, rng);
-    session.set_table_transfer(TableTransfer::kStreamed);
     session.set_stream_chunk_rows(64);
     session.offline(circuit, RevealTo::kBoth);
     auto out = session.online(gbits, ebits);
@@ -619,7 +615,7 @@ TEST(GcSession, ReplicatedSessionMatchesMonolithic) {
   EXPECT_EQ(rep_out, mono_out);
   EXPECT_EQ(rep_stats.and_gates, mono_stats.and_gates);
   EXPECT_EQ(rep_stats.table_chunks, mono_stats.table_chunks);
-  EXPECT_EQ(rep_stats.streamed_table_bytes, mono_stats.streamed_table_bytes);
+  EXPECT_EQ(rep_stats.table_bytes, mono_stats.table_bytes);
   EXPECT_EQ(rep_bytes, mono_bytes);
 }
 

@@ -121,38 +121,6 @@ TEST(KeySwitch, KernelFusedMatchesNaiveReferenceBitExact) {
   }
 }
 
-TEST(KeySwitch, NoShoupFallbackMatchesShoupPathBitExact) {
-  // Keys without precomputed quotient tables (e.g. externally supplied)
-  // take the 128-bit mul_acc_lazy fallback, which must canonicalize the
-  // lazily-staged [0, 4p) digits before accumulating — the result has to
-  // match the Shoup-lazy path bit for bit.
-  for (const HeProfile profile :
-       {HeProfile::kTest2048, HeProfile::kLight4096}) {
-    Fixture f(profile);
-    const std::size_t k = f.ctx.rns_size();
-    const std::size_t n = f.ctx.degree();
-    RnsPoly c(k, n, false);
-    for (std::size_t i = 0; i < k; ++i) {
-      f.rng.fill_uniform_mod(c.limb(i), n, f.ctx.q(i));
-    }
-    f.ctx.to_ntt(c);
-    const RelinKey rk = f.keygen.make_relin_key();
-    RnsPoly want0(k, n, true), want1(k, n, true);
-    f.eval.key_switch(c, rk.key, want0, want1);
-    KSwitchKey stripped;
-    stripped.decomp_bits = rk.key.decomp_bits;
-    stripped.b = rk.key.b;
-    stripped.a = rk.key.a;
-    ASSERT_FALSE(stripped.has_shoup());
-    RnsPoly got0(k, n, true), got1(k, n, true);
-    f.eval.key_switch(c, stripped, got0, got1);
-    for (std::size_t wi = 0; wi < want0.word_count(); ++wi) {
-      ASSERT_EQ(got0.data()[wi], want0.data()[wi]) << "acc0 word " << wi;
-      ASSERT_EQ(got1.data()[wi], want1.data()[wi]) << "acc1 word " << wi;
-    }
-  }
-}
-
 TEST(KeySwitch, HoistedSetMatchesSingleRotationsBitExact) {
   for (const HeProfile profile :
        {HeProfile::kTest2048, HeProfile::kProto2048, HeProfile::kLight4096}) {
@@ -362,6 +330,20 @@ TEST(KeySwitch, MismatchedKeyDecompositionThrows) {
   const HoistedKeySwitch hoist(f.ctx, c, f.ctx.galois_decomp_bits());
   RnsPoly a0(k, n, true), a1(k, n, true);
   EXPECT_THROW(hoist.apply(1, rk.key, a0, a1), std::invalid_argument);
+
+  // Key switching has one path, the Shoup-lazy one: a key missing either
+  // quotient table is rejected rather than accumulated some other way.
+  const HoistedKeySwitch crt(f.ctx, c, rk.key.decomp_bits);
+  KSwitchKey no_quotients;
+  no_quotients.decomp_bits = rk.key.decomp_bits;
+  no_quotients.b = rk.key.b;
+  no_quotients.a = rk.key.a;
+  EXPECT_THROW(crt.apply(1, no_quotients, a0, a1), std::invalid_argument);
+  KSwitchKey b_quotients_only = no_quotients;
+  b_quotients_only.b_shoup = rk.key.b_shoup;
+  EXPECT_THROW(crt.apply(1, b_quotients_only, a0, a1), std::invalid_argument);
+  // The intact key passes the same entry checks.
+  EXPECT_NO_THROW(crt.apply(1, rk.key, a0, a1));
 }
 
 }  // namespace
