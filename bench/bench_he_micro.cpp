@@ -449,7 +449,10 @@ void bench_framing(HeFixture& f, const char* label, const Options& opt) {
       quantize(BertWeightsD::random(bert_nano(), weight_rng2)),
       PrimerVariant::kFP, HeProfile::kProto2048);
   SessionStore store;
-  const PrimerRunResult rrun = resilient.run_resilient({3, 17, 9, 28}, store);
+  SessionOptions ropts = SessionOptions::from_env();
+  ropts.store = &store;
+  ropts.max_restarts = 5;
+  const PrimerRunResult rrun = resilient.run({3, 17, 9, 28}, ropts);
   const auto cp = store.load(Party::kClient,
                              store.latest_epoch(Party::kClient));
   const double cp_serialize_s = time_loop([&] {
@@ -483,8 +486,10 @@ void bench_framing(HeFixture& f, const char* label, const Options& opt) {
         quantize(BertWeightsD::random(bert_nano(), weight_rng3)),
         PrimerVariant::kFP, HeProfile::kProto2048);
     DurableSessionStore dstore(store_dir);
-    const PrimerRunResult drun =
-        durable_engine.run_resilient({3, 17, 9, 28}, dstore);
+    SessionOptions dopts = SessionOptions::from_env();
+    dopts.store = &dstore;
+    dopts.max_restarts = 5;
+    const PrimerRunResult drun = durable_engine.run({3, 17, 9, 28}, dopts);
     const auto dcp = dstore.load(Party::kClient,
                                  dstore.latest_epoch(Party::kClient));
     durable_save_s = time_loop([&] { dstore.save(Party::kClient, *dcp); });

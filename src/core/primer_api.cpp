@@ -4,6 +4,19 @@
 
 namespace primer {
 
+namespace {
+
+InferenceResult to_inference_result(PrimerRunResult run) {
+  InferenceResult r;
+  r.run = std::move(run);
+  r.logits = r.run.logits;
+  r.predicted = r.run.predicted;
+  for (const auto v : r.logits) r.logits_real.push_back(fp_decode(v));
+  return r;
+}
+
+}  // namespace
+
 std::string InferenceResult::report() const {
   std::ostringstream os;
   os << "prediction: class " << predicted << "\n";
@@ -48,56 +61,23 @@ PrivateInferenceSession PrivateInferenceSession::create_random_model(
 }
 
 InferenceResult PrivateInferenceSession::infer(
-    const std::vector<std::size_t>& tokens) {
-  InferenceResult r;
-  r.run = engine_.run(tokens);
-  r.logits = r.run.logits;
-  r.predicted = r.run.predicted;
-  for (const auto v : r.logits) r.logits_real.push_back(fp_decode(v));
-  return r;
-}
-
-InferenceResult PrivateInferenceSession::infer_resilient(
-    const std::vector<std::size_t>& tokens, SessionStore& store,
-    int max_restarts) {
-  InferenceResult r;
-  r.run = engine_.run_resilient(tokens, store, max_restarts);
-  r.logits = r.run.logits;
-  r.predicted = r.run.predicted;
-  for (const auto v : r.logits) r.logits_real.push_back(fp_decode(v));
-  return r;
-}
-
-InferenceResult PrivateInferenceSession::infer_durable(
-    const std::vector<std::size_t>& tokens, const std::string& store_dir,
-    int max_restarts) {
-  DurableSessionStore store(store_dir);
-  return infer_resilient(tokens, store, max_restarts);
-}
-
-SessionOutcome ServerHandle::infer_outcome(std::vector<std::size_t> tokens,
-                                           std::size_t model) {
-  InferenceRequest req;
-  req.client_id = client_id_;
-  req.model = model;
-  req.tokens = std::move(tokens);
-  return server_->infer(std::move(req));
+    const std::vector<std::size_t>& tokens, SessionOptions options) {
+  return to_inference_result(engine_.run(tokens, std::move(options)));
 }
 
 InferenceResult ServerHandle::infer(std::vector<std::size_t> tokens,
                                     std::size_t model) {
-  SessionOutcome out = infer_outcome(std::move(tokens), model);
+  InferenceRequest req;
+  req.client_id = client_id_;
+  req.model = model;
+  req.tokens = std::move(tokens);
+  SessionOutcome out = server_->infer(std::move(req));
   if (out.status != SessionStatus::kCompleted) {
     throw std::runtime_error("ServerHandle::infer: session resolved to '" +
                              std::string(session_status_name(out.status)) +
                              "': " + out.error);
   }
-  InferenceResult r;
-  r.run = std::move(out.result);
-  r.logits = r.run.logits;
-  r.predicted = r.run.predicted;
-  for (const auto v : r.logits) r.logits_real.push_back(fp_decode(v));
-  return r;
+  return to_inference_result(std::move(out.result));
 }
 
 std::vector<std::int64_t> PrivateInferenceSession::reference_logits(

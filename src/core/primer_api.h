@@ -10,6 +10,14 @@
 //   auto result = session.infer({3, 17, 9, 28});
 //   // result.predicted, result.logits, result.report().
 //
+// To survive crashes, checkpoint into a store and allow restarts:
+//
+//   primer::DurableSessionStore store("/var/lib/primer/session");
+//   auto options = primer::SessionOptions::from_env();
+//   options.store = &store;
+//   options.max_restarts = 5;
+//   auto result = session.infer({3, 17, 9, 28}, options);
+//
 // A session pairs a (quantized) BERT model held by the "server" with a
 // client input, and runs the selected Primer protocol variant end-to-end
 // with real homomorphic encryption and real garbled circuits over a
@@ -50,25 +58,11 @@ class PrivateInferenceSession {
                                                      PrimerVariant variant,
                                                      Rng& rng);
 
-  InferenceResult infer(const std::vector<std::size_t>& tokens);
-
-  // Like infer(), but checkpointing into `store` and surviving retryable
-  // transport failures (injected kills, stalls, exhausted retries) by
-  // resuming from the last common checkpoint — up to `max_restarts` times.
-  // The output is bit-identical to an unfaulted infer().
-  InferenceResult infer_resilient(const std::vector<std::size_t>& tokens,
-                                  SessionStore& store, int max_restarts = 5);
-
-  // Like infer_resilient(), but checkpointing into a DurableSessionStore
-  // rooted at `store_dir` — so the session survives real process death, not
-  // just in-process faults.  A re-run over the same directory resumes from
-  // the highest valid on-disk checkpoint (cached key material replayed at
-  // zero wire cost); torn or corrupt blobs are quarantined by the recovery
-  // scan, and a full disk degrades to memory-only operation (telemetry in
-  // run.store_degradations) instead of failing the inference.
-  InferenceResult infer_durable(const std::vector<std::size_t>& tokens,
-                                const std::string& store_dir,
-                                int max_restarts = 5);
+  // One private inference under `options` (PrimerEngine::run): set
+  // options.store and options.max_restarts to checkpoint the session and
+  // survive retryable transport failures bit-identically.
+  InferenceResult infer(const std::vector<std::size_t>& tokens,
+                        SessionOptions options = SessionOptions::from_env());
 
   // The plaintext fixed-point reference the protocol must match bit-exactly
   // (variants kBase/kF/kFP) or track closely (kFPC).
@@ -93,8 +87,8 @@ class PrivateInferenceSession {
 //
 // infer() throws ServerOverloaded (typed, retryable) when admission sheds
 // the request and std::runtime_error when the session resolves to a
-// non-completed outcome; infer_outcome() returns the typed outcome instead
-// of throwing.
+// non-completed outcome; PrimerServer::infer returns the typed outcome
+// instead of throwing.
 class ServerHandle {
  public:
   ServerHandle(PrimerServer& server, std::uint64_t client_id)
@@ -102,8 +96,6 @@ class ServerHandle {
 
   InferenceResult infer(std::vector<std::size_t> tokens,
                         std::size_t model = 0);
-  SessionOutcome infer_outcome(std::vector<std::size_t> tokens,
-                               std::size_t model = 0);
 
   std::uint64_t client_id() const { return client_id_; }
 

@@ -83,6 +83,15 @@ struct FaultSpec {
            hostile_after > 0;
   }
 
+  // Clears the deterministic one-shot triggers.  They model a crash (or
+  // stall, or hostile frame) of one attempt; a restarted attempt must not
+  // trip over the same trigger again.
+  void disarm_one_shot() {
+    kill_after = 0;
+    stall_after = 0;
+    hostile_after = 0;
+  }
+
   // Reads PRIMER_FAULT_* from the environment; unset knobs keep defaults.
   static FaultSpec from_env();
 };

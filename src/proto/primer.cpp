@@ -123,49 +123,33 @@ PrimerEngine::PrimerEngine(BertWeightsI weights, PrimerVariant variant,
   }
 }
 
-PrimerRunResult PrimerEngine::run(const std::vector<std::size_t>& tokens) {
-  return run_session(tokens, SessionOptions::from_env(), &last_partial_);
-}
-
-PrimerRunResult PrimerEngine::run_with_options(
-    const std::vector<std::size_t>& tokens, const SessionOptions& options) {
-  return run_session(tokens, options, nullptr);
-}
-
-PrimerRunResult PrimerEngine::run_resilient(
-    const std::vector<std::size_t>& tokens, SessionStore& store,
-    int max_restarts) {
-  SessionOptions opts = SessionOptions::from_env();
-  opts.store = &store;
+PrimerRunResult PrimerEngine::run(const std::vector<std::size_t>& tokens,
+                                  SessionOptions options) const {
+  PrimerRunResult scratch;
+  PrimerRunResult& partial =
+      options.partial != nullptr ? *options.partial : scratch;
   int restarts = 0;
   std::uint64_t prior_bytes = 0;
-  auto note_retryable_failure = [&] {
-    if (last_partial_ != nullptr) prior_bytes += last_partial_->total_bytes;
-    // Injected kill/stall triggers model a crash of THAT attempt; the
-    // restarted process must not trip over the same trigger again.
-    opts.faults.kill_after = 0;
-    opts.faults.stall_after = 0;
-    ++restarts;
-  };
   for (;;) {
     try {
-      PrimerRunResult result = run_session(tokens, opts, &last_partial_);
+      PrimerRunResult result = run_session(tokens, options, partial);
       result.restarts = restarts;
       result.prior_attempt_bytes = prior_bytes;
       return result;
     } catch (const ProtocolError& e) {
-      if (!e.retryable() || restarts >= max_restarts) throw;
-      note_retryable_failure();
+      if (!e.retryable() || restarts >= options.max_restarts) throw;
     } catch (const OperationCancelled&) {
-      if (restarts >= max_restarts) throw;
-      note_retryable_failure();
+      if (restarts >= options.max_restarts) throw;
     }
+    prior_bytes += partial.total_bytes;
+    options.faults.disarm_one_shot();
+    ++restarts;
   }
 }
 
 PrimerRunResult PrimerEngine::run_session(
     const std::vector<std::size_t>& tokens, const SessionOptions& options,
-    std::unique_ptr<PrimerRunResult>* partial_out) {
+    PrimerRunResult& partial_out) const {
   const auto& cfg = w_.config;
   const std::size_t n = cfg.tokens;
   const std::size_t dh = cfg.head_dim();
@@ -179,23 +163,21 @@ PrimerRunResult PrimerEngine::run_session(
     pc.start_session();
     return run_protocol(tokens, pc);
   } catch (...) {
-    if (partial_out == nullptr) throw;
     // Snapshot what the attempt accrued before the fault so callers (and
-    // run_resilient's byte accounting) see partial costs and the smallest
-    // noise margin observed.
-    auto partial = std::make_unique<PrimerRunResult>();
-    summarize_costs(*partial, pc);
+    // run()'s prior-attempt byte accounting) see partial costs and the
+    // smallest noise margin observed.
+    partial_out = PrimerRunResult{};
+    summarize_costs(partial_out, pc);
     // A throwing step never reaches step()'s cost fold, so pull the
     // decryptor's pending margin telemetry in directly.
-    partial->min_noise_margin_bits =
-        std::min(partial->min_noise_margin_bits, pc.dec.take_min_margin());
-    *partial_out = std::move(partial);
+    partial_out.min_noise_margin_bits =
+        std::min(partial_out.min_noise_margin_bits, pc.dec.take_min_margin());
     throw;
   }
 }
 
 PrimerRunResult PrimerEngine::run_protocol(
-    const std::vector<std::size_t>& tokens, ProtocolContext& pc) {
+    const std::vector<std::size_t>& tokens, ProtocolContext& pc) const {
   const auto& cfg = w_.config;
   const std::size_t n = cfg.tokens;
   const std::size_t d = cfg.d_model;

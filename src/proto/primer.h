@@ -107,35 +107,20 @@ class PrimerEngine {
                HeProfile profile = HeProfile::kProto2048,
                std::uint64_t seed = 7);
 
-  // One private inference (offline + online, separately accounted).
-  PrimerRunResult run(const std::vector<std::size_t>& tokens);
-
-  // One private inference with session resilience: checkpoints are persisted
-  // into `store` at phase boundaries, and on a retryable transport failure
-  // (peer kill, deadline, retries exhausted, cancellation) the protocol is
-  // re-attempted — resuming from the last common checkpoint via the
-  // kSessionHello/kSessionResume handshake, with the checkpoint-covered
-  // frame prefix replayed at zero wire cost.  Fatal errors and attempts
-  // beyond `max_restarts` rethrow; injected kill/stall triggers fire only on
-  // the first attempt.  The result is bit-identical to an unfaulted run().
-  PrimerRunResult run_resilient(const std::vector<std::size_t>& tokens,
-                                SessionStore& store, int max_restarts = 5);
-
-  // One protocol attempt under caller-supplied session options (store,
-  // faults, deadline, cancel token, progress heartbeat, drain flag).  No
-  // internal retry loop: every failure — including retryable transport
-  // errors, OperationCancelled and SessionDrained — propagates to the
-  // caller, which owns the attempt/restart policy.  Safe to call from
-  // several threads at once on one engine (it leaves last_partial()
-  // alone): the serving runtime (src/serving/) runs every session of a
-  // hosted model through one engine this way.
-  PrimerRunResult run_with_options(const std::vector<std::size_t>& tokens,
-                                   const SessionOptions& options);
-
-  // Telemetry from the most recent failed run() / run_resilient() attempt
-  // (costs accrued before the fault, min noise margin observed); null
-  // until one throws.
-  const PrimerRunResult* last_partial() const { return last_partial_.get(); }
+  // One private inference (offline + online, separately accounted) under
+  // `options`: store, faults, deadline, cancel token, progress heartbeat,
+  // drain flag and restart policy.  With options.max_restarts > 0, a
+  // retryable failure (peer kill, deadline, retries exhausted, cancellation)
+  // is re-attempted — resuming from the store's last common checkpoint via
+  // the kSessionHello/kSessionResume handshake, with the checkpoint-covered
+  // frame prefix replayed at zero wire cost — and injected one-shot faults
+  // fire only on the first attempt; the result is bit-identical to an
+  // unfaulted run.  Fatal errors and failures beyond max_restarts rethrow,
+  // SessionDrained always does.  Each failed attempt's telemetry lands in
+  // *options.partial when set.  The engine keeps no per-run state, so one
+  // engine serves concurrent runs (the serving runtime relies on this).
+  PrimerRunResult run(const std::vector<std::size_t>& tokens,
+                      SessionOptions options = SessionOptions::from_env()) const;
 
   const BertWeightsI& weights() const { return w_; }
   PrimerVariant variant() const { return variant_; }
@@ -143,15 +128,14 @@ class PrimerEngine {
   std::uint64_t seed() const { return seed_; }
 
  private:
-  // One protocol attempt under explicit session options.  On failure,
-  // stores the partial telemetry into *partial_out (when non-null) and
-  // rethrows.
+  // One protocol attempt.  On failure, stores the partial telemetry into
+  // `partial_out` and rethrows.
   PrimerRunResult run_session(const std::vector<std::size_t>& tokens,
                               const SessionOptions& options,
-                              std::unique_ptr<PrimerRunResult>* partial_out);
+                              PrimerRunResult& partial_out) const;
   // The protocol body proper, over an already-constructed context.
   PrimerRunResult run_protocol(const std::vector<std::size_t>& tokens,
-                               ProtocolContext& pc);
+                               ProtocolContext& pc) const;
 
   PackingStrategy linear_packing() const {
     return (variant_ == PrimerVariant::kBase || variant_ == PrimerVariant::kF)
@@ -166,7 +150,6 @@ class PrimerEngine {
   HeProfile profile_;
   std::uint64_t seed_;
   std::unique_ptr<CircuitCache> circuits_;
-  std::unique_ptr<PrimerRunResult> last_partial_;
 };
 
 // Reference logits for the kFPC variant, whose merged Q*K^T skips the

@@ -27,7 +27,9 @@
 
 namespace primer {
 
-// Configuration of one protocol session attempt: the transport's fault and
+struct PrimerRunResult;
+
+// Configuration of one protocol session: the transport's fault and
 // retry knobs plus the resilience layer (checkpoint store, deadlines,
 // cooperative cancellation).  A null store disables checkpointing, the
 // resume handshake and journaling — the pre-session behavior.
@@ -50,6 +52,13 @@ struct SessionOptions {
   // Only honored when a store is attached (without one there is nothing to
   // resume from, so the run is allowed to finish).
   const std::atomic<bool>* drain = nullptr;
+  // Restart policy of PrimerEngine::run: retryable failures (transport
+  // faults, deadlines, cancellation) are re-attempted up to this many times,
+  // resuming from the store's last common checkpoint.  0 = one attempt.
+  int max_restarts = 0;
+  // Optional caller-owned sink for the telemetry of the most recent failed
+  // attempt (costs accrued before the fault, smallest noise margin seen).
+  PrimerRunResult* partial = nullptr;
 
   // Faults and retry from PRIMER_FAULT_* / PRIMER_RETRY_*, deadline from
   // PRIMER_PHASE_DEADLINE_S; no store or cancellation.  Malformed values

@@ -199,7 +199,7 @@ void PrimerServer::serve(const std::shared_ptr<SessionTicket>& t) {
       break;
   }
 
-  PrimerEngine& engine = *engines_[t->req_.model];
+  const PrimerEngine& engine = *engines_[t->req_.model];
   SessionOptions opts;
   opts.store = lease.store;
   opts.session_id = t->req_.client_id;
@@ -209,6 +209,9 @@ void PrimerServer::serve(const std::shared_ptr<SessionTicket>& t) {
   opts.cancel = &t->cancel_;
   opts.progress = &t->progress_;
   opts.drain = &drain_flag_;
+  // opts.max_restarts stays 0: the engine makes one attempt and this loop
+  // owns the restarts, arming a watchdog per attempt and classifying every
+  // failure into a SessionStatus.
   const std::string who =
       "client " + std::to_string(t->req_.client_id) + " session";
 
@@ -221,7 +224,7 @@ void PrimerServer::serve(const std::shared_ptr<SessionTicket>& t) {
     }
     try {
       DeadlineWatchdog watchdog(t->cancel_, cfg_.session_wall_budget_s, who);
-      PrimerRunResult r = engine.run_with_options(t->req_.tokens, opts);
+      PrimerRunResult r = engine.run(t->req_.tokens, opts);
       r.restarts = restarts;
       out.status = SessionStatus::kCompleted;
       out.result = std::move(r);
@@ -271,11 +274,8 @@ void PrimerServer::serve(const std::shared_ptr<SessionTicket>& t) {
       out.error = e.what();
       break;
     }
-    // Retrying: deterministic one-shot triggers already fired; clearing
-    // them models the fault not recurring on the fresh attempt.
-    opts.faults.kill_after = 0;
-    opts.faults.stall_after = 0;
-    opts.faults.hostile_after = 0;
+    // Retrying: the one-shot triggers already fired on this attempt.
+    opts.faults.disarm_one_shot();
   }
   if (out.checkpoint_epoch == 0) out.checkpoint_epoch = t->progress_.epoch();
   out.restarts = restarts;

@@ -1,6 +1,12 @@
 // Tests for the public API (core/primer_api.h): session lifecycle, report
-// formatting, reference verification, and input validation.
+// formatting, reference verification, input validation, and durable
+// kill -> resume through SessionOptions.
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <stdexcept>
+#include <string>
 
 #include "core/primer_api.h"
 
@@ -56,6 +62,43 @@ TEST(Api, DeterministicAcrossSessionsWithSameSeed) {
   PrivateInferenceSession sb(wb, PrimerVariant::kFP);
   const std::vector<std::size_t> tokens = {8, 8, 8, 8};
   EXPECT_EQ(sa.infer(tokens).logits, sb.infer(tokens).logits);
+}
+
+// Scratch directory inside the build tree (ctest's cwd), removed on exit.
+struct TempDir {
+  std::string path;
+  TempDir() {
+    char tmpl[] = "primer_api_test_XXXXXX";
+    if (::mkdtemp(tmpl) == nullptr) throw std::runtime_error("mkdtemp failed");
+    path = tmpl;
+  }
+  ~TempDir() { std::filesystem::remove_all(path); }
+};
+
+TEST(Api, DurableInferSurvivesKillBitIdentical) {
+  Rng rng(12);
+  auto session = PrivateInferenceSession::create_random_model(
+      bert_nano(), PrimerVariant::kFP, rng);
+  const std::vector<std::size_t> tokens = {3, 17, 9, 28};
+
+  // A clean checkpointed run sizes the kill point: half its wire frames.
+  SessionStore probe_store;
+  SessionOptions probe = SessionOptions::from_env();
+  probe.store = &probe_store;
+  const std::uint64_t frames = session.infer(tokens, probe).run.frames_sent;
+
+  TempDir tmp;
+  DurableSessionStore store(tmp.path);
+  SessionOptions options = SessionOptions::from_env();
+  options.store = &store;
+  options.max_restarts = 5;
+  options.faults.kill_after = frames / 2;
+  const InferenceResult result = session.infer(tokens, options);
+
+  EXPECT_EQ(result.logits, session.reference_logits(tokens));
+  EXPECT_EQ(result.run.restarts, 1);
+  EXPECT_GT(result.run.replayed_bytes, 0u);  // resumed, not rerun
+  EXPECT_GT(result.run.store_fsyncs, 0u);    // checkpoints reached the disk
 }
 
 }  // namespace

@@ -824,16 +824,17 @@ TEST(NoiseBudget, ExhaustionPropagatesThroughPrimerEngineRun) {
   EnvGuard env(std::vector<std::pair<const char*, const char*>>{
       {"PRIMER_NOISE_FLOOR_BITS", "10000"}});
   PrimerEngine engine(weights, PrimerVariant::kFP);
+  PrimerRunResult partial;
+  SessionOptions options = SessionOptions::from_env();
+  options.partial = &partial;
   try {
-    (void)engine.run({3, 17, 9, 28});
+    (void)engine.run({3, 17, 9, 28}, options);
     FAIL() << "expected NoiseBudgetExhausted";
   } catch (const NoiseBudgetExhausted& e) {
     EXPECT_GT(e.estimated_budget_bits(), 0.0);   // healthy ct, hostile floor
     EXPECT_LT(e.estimated_budget_bits(), 10000.0);
   }
   // The engine snapshotted what the attempt saw before refusing.
-  ASSERT_NE(engine.last_partial(), nullptr);
-  const PrimerRunResult& partial = *engine.last_partial();
   EXPECT_TRUE(std::isfinite(partial.min_noise_margin_bits));
   EXPECT_GT(partial.min_noise_margin_bits, 0.0);
   EXPECT_GT(partial.total_bytes, 0u);  // some traffic happened before the trip

@@ -560,6 +560,16 @@ TEST(DurableSessionManager, QuarantinePurgesDiskAndSurvivesRestart) {
 
 const std::vector<std::size_t> kTokens = {3, 17, 9, 28};
 
+// One inference checkpointing into `store`, surviving up to 5 retryable
+// failures by resuming from the last common checkpoint.
+PrimerRunResult run_with_restarts(const PrimerEngine& engine,
+                                  SessionStore& store) {
+  SessionOptions options = SessionOptions::from_env();
+  options.store = &store;
+  options.max_restarts = 5;
+  return engine.run(kTokens, options);
+}
+
 BertWeightsI chaos_weights() {
   Rng wrng(2025);
   return quantize(BertWeightsD::random(bert_nano(), wrng));
@@ -576,7 +586,7 @@ TEST(DurableResilience, StoreCrashMidRunThenFreshProcessResumes) {
       // Crash the 5th persist op: epochs 1-2 are committed for both
       // parties, epoch 3's client blob is the in-flight casualty.
       DurableSessionStore store(tmp.path, faulted(mode, 5));
-      EXPECT_THROW((void)engine.run_resilient(kTokens, store), SimulatedCrash);
+      EXPECT_THROW((void)run_with_restarts(engine, store), SimulatedCrash);
     }
     // The "freshly exec'd process": new engine, new store over the same
     // directory.  It must resume from the highest surviving checkpoint and
@@ -584,7 +594,7 @@ TEST(DurableResilience, StoreCrashMidRunThenFreshProcessResumes) {
     PrimerEngine engine(weights, PrimerVariant::kFP);
     DurableSessionStore store(tmp.path, {});
     EXPECT_GE(store.latest_epoch(Party::kClient), 2u);
-    const PrimerRunResult result = engine.run_resilient(kTokens, store);
+    const PrimerRunResult result = run_with_restarts(engine, store);
     EXPECT_EQ(result.logits, ref) << "mode " << static_cast<int>(mode);
     EXPECT_GE(result.resumed_epoch, 2u);
     EXPECT_GT(result.replayed_frames, 0u);  // key material off the wire
@@ -598,7 +608,7 @@ TEST(DurableResilience, DiskFailureMidRunDegradesNotDies) {
   TempDir tmp;
   PrimerEngine engine(weights, PrimerVariant::kFP);
   DurableSessionStore store(tmp.path, faulted(StoreFaultSpec::Mode::kFail, 3));
-  const PrimerRunResult result = engine.run_resilient(kTokens, store);
+  const PrimerRunResult result = run_with_restarts(engine, store);
   EXPECT_EQ(result.logits, FixedBert(weights).forward(kTokens));
   EXPECT_EQ(result.restarts, 0);
   EXPECT_EQ(result.store_degradations, 1u);
@@ -648,7 +658,7 @@ TEST(CrashRecoveryMatrix, RealSigkillAcrossPhaseSegments) {
   const auto ref = FixedBert(weights).forward(kTokens);
   SessionStore probe_store;
   PrimerEngine probe(weights, PrimerVariant::kFP);
-  const PrimerRunResult clean = probe.run_resilient(kTokens, probe_store);
+  const PrimerRunResult clean = run_with_restarts(probe, probe_store);
   ASSERT_EQ(clean.logits, ref);
   std::vector<std::uint64_t> boundaries;
   for (std::uint32_t e = 1; e <= probe_store.latest_epoch(Party::kClient);
@@ -727,7 +737,7 @@ TEST(DurableChaos, Probe) {
   const auto weights = chaos_weights();
   PrimerEngine engine(weights, PrimerVariant::kFP);
   SessionStore store;
-  const PrimerRunResult result = engine.run_resilient(kTokens, store);
+  const PrimerRunResult result = run_with_restarts(engine, store);
   ASSERT_EQ(result.logits, FixedBert(weights).forward(kTokens));
   for (std::uint32_t e = 1; e <= store.latest_epoch(Party::kClient); ++e) {
     const auto cp = store.load(Party::kClient, e);
@@ -753,7 +763,7 @@ TEST(DurableChaos, CrashRun) {
   const auto weights = chaos_weights();
   PrimerEngine engine(weights, PrimerVariant::kFP);
   DurableSessionStore store(dir);
-  const PrimerRunResult result = engine.run_resilient(kTokens, store);
+  const PrimerRunResult result = run_with_restarts(engine, store);
   // Only reached when no kill is armed (a probe-style invocation): the run
   // must then simply be correct and durable.
   EXPECT_EQ(result.logits, FixedBert(weights).forward(kTokens));
@@ -772,7 +782,7 @@ TEST(DurableChaos, RecoverRun) {
   PrimerEngine engine(weights, PrimerVariant::kFP);
   DurableSessionStore store(dir);
   const std::uint32_t disk_epoch = store.latest_epoch(Party::kClient);
-  const PrimerRunResult result = engine.run_resilient(kTokens, store);
+  const PrimerRunResult result = run_with_restarts(engine, store);
   ASSERT_EQ(result.logits, FixedBert(weights).forward(kTokens));
   EXPECT_EQ(result.resumed_epoch, disk_epoch);
   if (const char* out = std::getenv("PRIMER_CRASH_RESULT_FILE")) {
@@ -801,7 +811,7 @@ TEST(DurableChaos, FullDiskDegrades) {
   const auto weights = chaos_weights();
   PrimerEngine engine(weights, PrimerVariant::kFP);
   DurableSessionStore store(dir);
-  const PrimerRunResult result = engine.run_resilient(kTokens, store);
+  const PrimerRunResult result = run_with_restarts(engine, store);
   EXPECT_EQ(result.logits, FixedBert(weights).forward(kTokens));
   EXPECT_GT(result.store_degradations, 0u);
   const auto deg = store.last_degradation();

@@ -320,6 +320,19 @@ TEST(NoiseFloor, EnvKnobRaisesTheRefusalThreshold) {
 
 const std::vector<std::size_t> kTokens = {3, 17, 9, 28};
 
+// One inference checkpointing into `store`, surviving up to 5 retryable
+// failures by resuming from the last common checkpoint.  The last failed
+// attempt's telemetry lands in *partial when given.
+PrimerRunResult run_with_restarts(const PrimerEngine& engine,
+                                  SessionStore& store,
+                                  PrimerRunResult* partial = nullptr) {
+  SessionOptions options = SessionOptions::from_env();
+  options.store = &store;
+  options.max_restarts = 5;
+  options.partial = partial;
+  return engine.run(kTokens, options);
+}
+
 struct CleanRun {
   BertWeightsI weights;
   std::vector<std::int64_t> ref_logits;
@@ -335,7 +348,7 @@ const CleanRun& clean_run() {
     c.ref_logits = FixedBert(c.weights).forward(kTokens);
     PrimerEngine engine(c.weights, PrimerVariant::kFP);
     SessionStore store;
-    c.result = engine.run_resilient(kTokens, store);
+    c.result = run_with_restarts(engine, store);
     return c;
   }();
   return cr;
@@ -362,7 +375,8 @@ TEST(SessionResilience, KillThenResumeBitIdentical) {
 
   PrimerEngine engine(c.weights, PrimerVariant::kFP);
   SessionStore store;
-  const PrimerRunResult result = engine.run_resilient(kTokens, store);
+  PrimerRunResult partial;
+  const PrimerRunResult result = run_with_restarts(engine, store, &partial);
 
   // Bit-identical output despite the crash...
   EXPECT_EQ(result.logits, c.ref_logits);
@@ -374,8 +388,10 @@ TEST(SessionResilience, KillThenResumeBitIdentical) {
   EXPECT_GT(result.replayed_bytes, 0u);
   EXPECT_GT(result.prior_attempt_bytes, 0u);
 
-  // The failed attempt's partial telemetry was captured before the rethrow.
-  ASSERT_NE(engine.last_partial(), nullptr);
+  // The failed attempt's partial telemetry was captured before the rethrow,
+  // and it is exactly what the restart accounting charged.
+  EXPECT_GT(partial.total_bytes, 0u);
+  EXPECT_EQ(partial.total_bytes, result.prior_attempt_bytes);
 
   // The kill itself, run without the resilience loop, is a typed retryable
   // error naming the frame and the injection knob.
@@ -391,6 +407,33 @@ TEST(SessionResilience, KillThenResumeBitIdentical) {
     EXPECT_NE(std::string(e.what()).find(std::to_string(kill_at)),
               std::string::npos);
   }
+}
+
+// The contract the serving runtime relies on: with max_restarts = 0 the
+// engine makes exactly one attempt — store attached or not — and hands a
+// retryable failure back to the caller, with the attempt's telemetry in
+// options.partial.
+TEST(SessionResilience, SingleAttemptWithStoreRethrowsRetryable) {
+  const CleanRun& c = clean_run();
+  PrimerEngine engine(c.weights, PrimerVariant::kFP);
+  SessionStore store;
+  PrimerRunResult partial;
+  SessionOptions options = SessionOptions::from_env();
+  options.store = &store;
+  options.max_restarts = 0;
+  options.partial = &partial;
+  // Kill on the next-to-last wire frame: past the linear layers' first
+  // decryptions, so the partial carries a real noise margin.
+  options.faults.kill_after = c.result.frames_sent - 1;
+  try {
+    (void)engine.run(kTokens, options);
+    FAIL() << "expected ProtocolError: the kill must not be retried";
+  } catch (const ProtocolError& e) {
+    EXPECT_EQ(e.kind(), ProtocolErrorKind::kPeerKilled);
+    EXPECT_TRUE(e.retryable());
+  }
+  EXPECT_GT(partial.total_bytes, 0u);
+  EXPECT_TRUE(std::isfinite(partial.min_noise_margin_bits));
 }
 
 TEST(SessionResilience, StallTripsDeadlineThenResumes) {
@@ -415,7 +458,7 @@ TEST(SessionResilience, StallTripsDeadlineThenResumes) {
 
   PrimerEngine engine(c.weights, PrimerVariant::kFP);
   SessionStore store;
-  const PrimerRunResult result = engine.run_resilient(kTokens, store);
+  const PrimerRunResult result = run_with_restarts(engine, store);
   EXPECT_EQ(result.logits, c.ref_logits);
   EXPECT_EQ(result.restarts, 1);
   EXPECT_GE(result.resumed_epoch, 1u);
@@ -434,7 +477,7 @@ TEST(SessionChaos, ProbeTotalFrames) {
   const auto weights = quantize(BertWeightsD::random(bert_nano(), wrng));
   PrimerEngine engine(weights, PrimerVariant::kFP);
   SessionStore store;
-  const PrimerRunResult result = engine.run_resilient(kTokens, store);
+  const PrimerRunResult result = run_with_restarts(engine, store);
   ASSERT_EQ(result.logits, FixedBert(weights).forward(kTokens));
   for (std::uint32_t e = 1; e <= store.latest_epoch(Party::kClient); ++e) {
     const auto cp = store.load(Party::kClient, e);
@@ -456,7 +499,7 @@ TEST(SessionChaos, KillRecovery) {
   const auto weights = quantize(BertWeightsD::random(bert_nano(), wrng));
   PrimerEngine engine(weights, PrimerVariant::kFP);
   SessionStore store;
-  const PrimerRunResult result = engine.run_resilient(kTokens, store);
+  const PrimerRunResult result = run_with_restarts(engine, store);
   EXPECT_EQ(result.logits, FixedBert(weights).forward(kTokens));
   EXPECT_EQ(result.restarts, 1);
 }
@@ -472,7 +515,7 @@ TEST(SessionChaos, StallRecovery) {
   const auto weights = quantize(BertWeightsD::random(bert_nano(), wrng));
   PrimerEngine engine(weights, PrimerVariant::kFP);
   SessionStore store;
-  const PrimerRunResult result = engine.run_resilient(kTokens, store);
+  const PrimerRunResult result = run_with_restarts(engine, store);
   EXPECT_EQ(result.logits, FixedBert(weights).forward(kTokens));
   EXPECT_EQ(result.restarts, 1);
 }
