@@ -434,7 +434,7 @@ void bench_framing(HeFixture& f, const char* label, const Options& opt) {
   // into its network seconds; the only unaccounted framing cost is the CPU
   // delta (checksum + copy) measured above.  End-to-end = compute + modeled
   // network latency, which is what the cost model exists to report.
-  const double run_e2e_s = run.offline_total_s() + run.online_total_s();
+  const double run_e2e_s = run.costs.total().total_seconds();
   const double framing_cost_s =
       delta_per_byte * static_cast<double>(run.total_bytes);
   const double e2e_ratio = run_e2e_s > 0.0 ? framing_cost_s / run_e2e_s : 0.0;

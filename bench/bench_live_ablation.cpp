@@ -21,7 +21,8 @@ namespace {
 
 void print_live_row(const char* name, const PrimerRunResult& r) {
   std::printf("%-17s", name);
-  for (const char* step : {"embed", "qkv", "qk", "softmax", "attnv", "others"}) {
+  for (const char* step : {"key_transfer", "embed", "qkv", "qk", "softmax",
+                           "attnv", "others"}) {
     const auto& all = r.costs.all();
     double off = 0, on = 0;
     if (auto it = all.find("offline"); it != all.end()) {
@@ -36,21 +37,26 @@ void print_live_row(const char* name, const PrimerRunResult& r) {
     }
     std::printf(" %6.2f/%-6.2f", off, on);
   }
+  const PhaseCost off = r.costs.phase_total("offline");
+  const PhaseCost on = r.costs.phase_total("online");
   std::printf(" | total %6.2f/%-6.2f  %6.1f MB  cpu %5.2f/%-5.2f\n",
-              r.offline_total_s(), r.online_total_s(),
-              static_cast<double>(r.total_bytes) / 1e6, r.offline_cpu_s,
-              r.online_cpu_s);
+              off.total_seconds(), on.total_seconds(),
+              static_cast<double>(r.total_bytes) / 1e6, off.cpu_seconds,
+              on.cpu_seconds);
 }
 
 void print_json_row(const char* variant, const char* session, double wall_s,
                     const PrimerRunResult& r) {
+  const PhaseCost off = r.costs.phase_total("offline");
+  const PhaseCost total = r.costs.total();
   std::printf(
       "JSON {\"bench\":\"live_ablation\",\"variant\":\"%s\","
       "\"session\":\"%s\",\"wall_s\":%.6f,\"offline_s\":%.6f,"
       "\"online_s\":%.6f,\"offline_cpu_s\":%.6f,\"gc_garble_s\":%.6f,"
       "\"gc_eval_s\":%.6f,\"total_mb\":%.3f}\n",
-      variant, session, wall_s, r.offline_total_s(), r.online_total_s(),
-      r.offline_cpu_s, r.gc_garble_s, r.gc_eval_s,
+      variant, session, wall_s, off.total_seconds(),
+      r.costs.phase_total("online").total_seconds(), off.cpu_seconds,
+      total.gc_garble_seconds, total.gc_eval_seconds,
       static_cast<double>(r.total_bytes) / 1e6);
 }
 
@@ -67,8 +73,9 @@ int main() {
       "=== LIVE ablation, BERT-nano (1 block, d=16, H=2, n=4, vocab=32) "
       "===\n");
   std::printf("(offline_s/online_s per step; real HE + real garbling)\n");
-  std::printf("%-17s %13s %13s %13s %13s %13s %13s\n", "Variant", "embed",
-              "qkv", "qk", "softmax", "attnv", "others");
+  std::printf("%-17s %13s %13s %13s %13s %13s %13s %13s\n", "Variant",
+              "key_transfer", "embed", "qkv", "qk", "softmax", "attnv",
+              "others");
 
   const PrimerVariant variants[] = {PrimerVariant::kBase, PrimerVariant::kF,
                                     PrimerVariant::kFP, PrimerVariant::kFPC};

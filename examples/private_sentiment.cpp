@@ -43,8 +43,8 @@ int main() {
         "  review %d -> %s  (online %.2f s, %.1f MB total; plaintext model "
         "agrees: %s)\n",
         i + 1, sentiment[result.predicted % 3],
-        result.run.online_total_s(),
-        static_cast<double>(result.run.total_bytes) / 1e6,
+        result.costs.phase_total("online").total_seconds(),
+        static_cast<double>(result.total_bytes) / 1e6,
         plain.predict(tokens) == result.predicted ? "yes" : "NO");
   }
   std::printf("\nThe server never saw the token ids; the client never saw "

@@ -23,7 +23,7 @@ int main() {
   std::printf("Running private inference (offline + online phases)...\n\n");
 
   auto result = session.infer(tokens);
-  std::printf("%s\n", result.report().c_str());
+  std::printf("%s\n", primer::report(result).c_str());
 
   // The protocol is verifiable: the decrypted logits must match the
   // plaintext fixed-point reference computation.

@@ -25,8 +25,10 @@ int main() {
     PrimerEngine engine(weights, v);
     const auto r = engine.run(tokens);
     std::printf("%-12s %11.2f %11.2f %11.2f %9.1f %8llu %6zu\n",
-                variant_name(v), r.offline_total_s(), r.online_total_s(),
-                r.offline_total_s() + r.online_total_s(),
+                variant_name(v),
+                r.costs.phase_total("offline").total_seconds(),
+                r.costs.phase_total("online").total_seconds(),
+                r.costs.total().total_seconds(),
                 static_cast<double>(r.total_bytes) / 1e6,
                 static_cast<unsigned long long>(r.rounds), r.predicted);
   }

@@ -57,8 +57,9 @@ class CpuWallTimer {
 };
 
 // Named accumulation of compute seconds and primitive-operation counts,
-// keyed by phase ("offline" / "online") and step name ("embed", "qkv",
-// "qk", "softmax", "attn_v", "others" — the columns of Table II).
+// keyed by phase ("offline" / "online") and step name ("key_transfer",
+// "embed", "qkv", "qk", "softmax", "attnv", "others" — the columns of
+// Table II plus the evaluation-key upload).
 struct PhaseCost {
   double compute_seconds = 0.0;  // wall-clock compute
   double cpu_seconds = 0.0;      // aggregate CPU across worker threads
@@ -68,21 +69,10 @@ struct PhaseCost {
   std::uint64_t he_mults = 0;       // ciphertext x plaintext
   std::uint64_t he_ct_mults = 0;    // ciphertext x ciphertext
   std::uint64_t he_rotations = 0;
-  std::uint64_t he_adds = 0;
   std::uint64_t gc_and_gates = 0;
-  // GC compute split: garbling is offline work, evaluation online.  Wall
-  // and aggregate-CPU are tracked separately so gates/s and effective
-  // parallelism are both recoverable.
+  // GC compute split: garbling is offline work, evaluation online.
   double gc_garble_seconds = 0.0;
-  double gc_garble_cpu_seconds = 0.0;
   double gc_eval_seconds = 0.0;
-  double gc_eval_cpu_seconds = 0.0;
-  std::uint64_t gc_table_bytes = 0;   // garbled-table payload shipped
-  std::uint64_t gc_table_chunks = 0;  // kGcTableChunk frames shipped
-  // Retry-layer traffic (frames resent after injected faults plus their
-  // bytes, control requests included in bytes_sent already).
-  std::uint64_t retransmits = 0;
-  std::uint64_t retransmit_bytes = 0;
   // Smallest estimated noise budget (bits) observed at any decryption in
   // this step; +inf when the step decrypted nothing.
   double min_noise_margin_bits = std::numeric_limits<double>::infinity();
@@ -98,16 +88,9 @@ struct PhaseCost {
     he_mults += o.he_mults;
     he_ct_mults += o.he_ct_mults;
     he_rotations += o.he_rotations;
-    he_adds += o.he_adds;
     gc_and_gates += o.gc_and_gates;
     gc_garble_seconds += o.gc_garble_seconds;
-    gc_garble_cpu_seconds += o.gc_garble_cpu_seconds;
     gc_eval_seconds += o.gc_eval_seconds;
-    gc_eval_cpu_seconds += o.gc_eval_cpu_seconds;
-    gc_table_bytes += o.gc_table_bytes;
-    gc_table_chunks += o.gc_table_chunks;
-    retransmits += o.retransmits;
-    retransmit_bytes += o.retransmit_bytes;
     min_noise_margin_bits = std::min(min_noise_margin_bits, o.min_noise_margin_bits);
     return *this;
   }
@@ -131,7 +114,14 @@ class CostAccumulator {
     return total;
   }
 
-  void clear() { costs_.clear(); }
+  // Every step of every phase: the whole run.
+  PhaseCost total() const {
+    PhaseCost sum;
+    for (const auto& [phase, steps] : costs_) {
+      for (const auto& [step, cost] : steps) sum += cost;
+    }
+    return sum;
+  }
 
  private:
   std::map<std::string, std::map<std::string, PhaseCost>> costs_;

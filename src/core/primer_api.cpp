@@ -1,49 +1,35 @@
 #include "core/primer_api.h"
 
+#include <map>
 #include <sstream>
 
 namespace primer {
 
-namespace {
-
-InferenceResult to_inference_result(PrimerRunResult run) {
-  InferenceResult r;
-  r.run = std::move(run);
-  r.logits = r.run.logits;
-  r.predicted = r.run.predicted;
-  for (const auto v : r.logits) r.logits_real.push_back(fp_decode(v));
-  return r;
-}
-
-}  // namespace
-
-std::string InferenceResult::report() const {
+std::string report(const PrimerRunResult& run) {
+  const PhaseCost off = run.costs.phase_total("offline");
+  const PhaseCost on = run.costs.phase_total("online");
   std::ostringstream os;
-  os << "prediction: class " << predicted << "\n";
+  os << "prediction: class " << run.predicted << "\n";
   os << "logits:";
-  for (const double v : logits_real) os << " " << v;
+  for (const auto v : run.logits) os << " " << fp_decode(v);
   os << "\n";
-  os << "offline: " << run.offline_compute_s << " s compute + "
-     << run.offline_network_s << " s network\n";
-  os << "online : " << run.online_compute_s << " s compute + "
-     << run.online_network_s << " s network\n";
+  os << "offline: " << off.compute_seconds << " s compute + "
+     << off.network_seconds << " s network\n";
+  os << "online : " << on.compute_seconds << " s compute + "
+     << on.network_seconds << " s network\n";
   os << "traffic: " << static_cast<double>(run.total_bytes) / 1e6 << " MB, "
      << run.rounds << " message flights\n";
+  // One row per step the run charged, in either phase.
+  std::map<std::string, std::pair<double, double>> steps;
+  for (const auto& [phase, costs] : run.costs.all()) {
+    for (const auto& [step, cost] : costs) {
+      auto& row = steps[step];
+      (phase == "offline" ? row.first : row.second) += cost.total_seconds();
+    }
+  }
   os << "per-step (offline_s / online_s):\n";
-  for (const char* step : {"embed", "qkv", "qk", "softmax", "attnv", "others"}) {
-    const auto& all = run.costs.all();
-    double off = 0, on = 0;
-    if (auto it = all.find("offline"); it != all.end()) {
-      if (auto jt = it->second.find(step); jt != it->second.end()) {
-        off = jt->second.total_seconds();
-      }
-    }
-    if (auto it = all.find("online"); it != all.end()) {
-      if (auto jt = it->second.find(step); jt != it->second.end()) {
-        on = jt->second.total_seconds();
-      }
-    }
-    os << "  " << step << ": " << off << " / " << on << "\n";
+  for (const auto& [step, row] : steps) {
+    os << "  " << step << ": " << row.first << " / " << row.second << "\n";
   }
   return os.str();
 }
@@ -60,12 +46,12 @@ PrivateInferenceSession PrivateInferenceSession::create_random_model(
                                  variant);
 }
 
-InferenceResult PrivateInferenceSession::infer(
+PrimerRunResult PrivateInferenceSession::infer(
     const std::vector<std::size_t>& tokens, SessionOptions options) {
-  return to_inference_result(engine_.run(tokens, std::move(options)));
+  return engine_.run(tokens, std::move(options));
 }
 
-InferenceResult ServerHandle::infer(std::vector<std::size_t> tokens,
+PrimerRunResult ServerHandle::infer(std::vector<std::size_t> tokens,
                                     std::size_t model) {
   InferenceRequest req;
   req.client_id = client_id_;
@@ -77,7 +63,7 @@ InferenceResult ServerHandle::infer(std::vector<std::size_t> tokens,
                              std::string(session_status_name(out.status)) +
                              "': " + out.error);
   }
-  return to_inference_result(std::move(out.result));
+  return std::move(out.result);
 }
 
 std::vector<std::int64_t> PrivateInferenceSession::reference_logits(

@@ -8,7 +8,7 @@
 //   auto session = primer::PrivateInferenceSession::create_random_model(
 //       primer::bert_nano(), primer::PrimerVariant::kFPC, rng);
 //   auto result = session.infer({3, 17, 9, 28});
-//   // result.predicted, result.logits, result.report().
+//   // result.predicted, result.logits, primer::report(result).
 //
 // To survive crashes, checkpoint into a store and allow restarts:
 //
@@ -37,15 +37,9 @@
 
 namespace primer {
 
-struct InferenceResult {
-  std::vector<std::int64_t> logits;  // raw 15-bit fixed point
-  std::vector<double> logits_real;   // decoded
-  std::size_t predicted = 0;
-  PrimerRunResult run;               // timings, traffic, per-step costs
-
-  // Human-readable latency/traffic summary.
-  std::string report() const;
-};
+// Human-readable latency/traffic summary of one run: prediction, decoded
+// logits, phase totals and one offline/online row per step in run.costs.
+std::string report(const PrimerRunResult& run);
 
 class PrivateInferenceSession {
  public:
@@ -61,7 +55,7 @@ class PrivateInferenceSession {
   // One private inference under `options` (PrimerEngine::run): set
   // options.store and options.max_restarts to checkpoint the session and
   // survive retryable transport failures bit-identically.
-  InferenceResult infer(const std::vector<std::size_t>& tokens,
+  PrimerRunResult infer(const std::vector<std::size_t>& tokens,
                         SessionOptions options = SessionOptions::from_env());
 
   // The plaintext fixed-point reference the protocol must match bit-exactly
@@ -94,7 +88,7 @@ class ServerHandle {
   ServerHandle(PrimerServer& server, std::uint64_t client_id)
       : server_(&server), client_id_(client_id) {}
 
-  InferenceResult infer(std::vector<std::size_t> tokens,
+  PrimerRunResult infer(std::vector<std::size_t> tokens,
                         std::size_t model = 0);
 
   std::uint64_t client_id() const { return client_id_; }

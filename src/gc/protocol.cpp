@@ -104,7 +104,7 @@ void GcSession::offline(ReplicatedCircuit circuit, RevealTo reveal) {
   reveal_ = reveal;
   const std::size_t total_rows = 2 * circuit_.and_count();
 
-  CpuWallTimer timer;
+  Stopwatch timer;
   Garbler garbler(rng_);
   // Ship finalized table prefixes while later levels are still garbling.
   // Watermark spans are coalesced up to stream_chunk_rows_; the final sink
@@ -124,8 +124,7 @@ void GcSession::offline(ReplicatedCircuit circuit, RevealTo reveal) {
                                rows + sent));
         sent = row_end;
       });
-  stats_.garble_seconds += timer.wall_seconds();
-  stats_.garble_cpu_seconds += timer.cpu_seconds();
+  stats_.garble_seconds += timer.seconds();
   stats_.and_gates += circuit_.and_count();
   stats_.table_bytes += gc_.table.byte_size();
 
@@ -228,10 +227,9 @@ std::vector<bool> GcSession::online(const std::vector<bool>& garbler_bits,
   for (std::size_t i = 0; i < ne; ++i) active[ng + i] = chosen[i];
 
   // Evaluate (client side, using the table as received over the wire).
-  CpuWallTimer timer;
+  Stopwatch timer;
   const auto out_labels = GcEvaluator::eval(circuit_, client_table_, active);
-  stats_.eval_seconds += timer.wall_seconds();
-  stats_.eval_cpu_seconds += timer.cpu_seconds();
+  stats_.eval_seconds += timer.seconds();
 
   // Decode.
   std::vector<bool> out(out_labels.size());

@@ -25,10 +25,8 @@ struct GcStats {
   std::size_t and_gates = 0;
   std::size_t table_bytes = 0;   // garbled-table payload
   std::size_t table_chunks = 0;  // kGcTableChunk frames shipped
-  double garble_seconds = 0;       // offline compute, wall
-  double garble_cpu_seconds = 0;   // offline compute, aggregate CPU
-  double eval_seconds = 0;         // online compute, wall
-  double eval_cpu_seconds = 0;     // online compute, aggregate CPU
+  double garble_seconds = 0;     // offline compute, wall
+  double eval_seconds = 0;       // online compute, wall
 };
 
 class GcSession {

@@ -56,42 +56,19 @@ struct Shared {
 // regardless of how far the protocol got.
 void summarize_costs(PrimerRunResult& result, const ProtocolContext& pc) {
   result.costs = pc.costs;
-  const PhaseCost off_total = pc.costs.phase_total("offline");
-  const PhaseCost on_total = pc.costs.phase_total("online");
-  result.offline_compute_s = off_total.compute_seconds;
-  result.offline_network_s = off_total.network_seconds;
-  result.offline_cpu_s = off_total.cpu_seconds;
-  result.online_compute_s = on_total.compute_seconds;
-  result.online_network_s = on_total.network_seconds;
-  result.online_cpu_s = on_total.cpu_seconds;
+  const PhaseCost total = pc.costs.total();
   result.total_bytes = pc.channel.total_bytes();
   result.rounds = pc.channel.flights();
+  result.gc_and_gates = total.gc_and_gates;
   result.retransmits = pc.framed.stats().retransmit_frames;
   result.retransmit_bytes = pc.framed.stats().retransmit_bytes;
+  result.min_noise_margin_bits = total.min_noise_margin_bits;
   result.replayed_frames = pc.framed.stats().replayed_frames;
   result.replayed_bytes = pc.framed.stats().replayed_bytes;
   result.frames_sent = pc.framed.stats().frames_sent;
   result.resumed_epoch = pc.resumed_epoch();
   result.checkpoints = pc.checkpoints_taken();
   result.handshake_bytes = pc.handshake_bytes();
-  if (pc.session.store != nullptr) {
-    const SessionStore::Telemetry st = pc.session.store->telemetry();
-    result.store_bytes_written = st.bytes_written;
-    result.store_fsyncs = st.fsyncs;
-    result.store_degradations = st.degradations;
-    result.store_degraded = st.degraded;
-    result.checkpoint_blob_bytes = pc.session.store->blob_bytes();
-  }
-  PhaseCost grand = off_total;
-  grand += on_total;
-  result.min_noise_margin_bits = grand.min_noise_margin_bits;
-  result.gc_and_gates = grand.gc_and_gates;
-  result.gc_garble_s = grand.gc_garble_seconds;
-  result.gc_garble_cpu_s = grand.gc_garble_cpu_seconds;
-  result.gc_eval_s = grand.gc_eval_seconds;
-  result.gc_eval_cpu_s = grand.gc_eval_cpu_seconds;
-  result.gc_table_bytes = grand.gc_table_bytes;
-  result.gc_table_chunks = grand.gc_table_chunks;
 }
 
 }  // namespace

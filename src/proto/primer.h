@@ -8,7 +8,8 @@
 //
 // The engine runs real RLWE HE and real half-gates garbling over the
 // byte-accounted channel, and reports per-step offline/online costs with the
-// same step names as Table II: embed, qkv, qk, softmax, attnv, others.
+// same step names as Table II (embed, qkv, qk, softmax, attnv, others) plus
+// key_transfer, the evaluation-key upload.
 //
 // Protocol state between steps is the HGS invariant: for every activation X,
 // the server holds D = X - R and the client holds the mask R (additive
@@ -35,34 +36,24 @@ enum class PrimerVariant { kBase, kF, kFP, kFPC };
 
 const char* variant_name(PrimerVariant v);
 
+// One run's record.  `costs` is the only rollup of time and step counters:
+// phase totals are costs.phase_total("offline" / "online"), run totals
+// (GC garble/eval seconds included) are costs.total().  The flat fields are
+// what the wire, the framing layer and the resume machinery report.
+// Durable-storage counters are not copied here: read them from the
+// SessionStore the caller attached (telemetry(), blob_bytes()).
 struct PrimerRunResult {
   std::vector<std::int64_t> logits;  // raw fixed point, revealed to client
   std::size_t predicted = 0;
-  double offline_compute_s = 0;
-  double offline_network_s = 0;
-  double offline_cpu_s = 0;  // aggregate CPU across pool workers
-  double online_compute_s = 0;
-  double online_network_s = 0;
-  double online_cpu_s = 0;
-  std::uint64_t total_bytes = 0;
-  std::uint64_t rounds = 0;
+  std::uint64_t total_bytes = 0;     // every byte on the wire
+  std::uint64_t rounds = 0;          // message flights
+  std::uint64_t gc_and_gates = 0;    // AND gates garbled, all GC stages
   // Transport robustness telemetry: frames resent by the retry layer (plus
   // their bytes, charged to total_bytes already) and the smallest estimated
   // noise budget any decryption ran with (+inf if nothing was decrypted).
   std::uint64_t retransmits = 0;
   std::uint64_t retransmit_bytes = 0;
   double min_noise_margin_bits = 0;
-  // GC nonlinear-layer totals across all stages of the run: AND gates
-  // garbled, garble/eval compute split (wall + aggregate CPU), achieved
-  // garbling throughput, and garbled-table traffic (payload bytes and the
-  // kGcTableChunk frames that carried it).
-  std::uint64_t gc_and_gates = 0;
-  double gc_garble_s = 0;
-  double gc_garble_cpu_s = 0;
-  double gc_eval_s = 0;
-  double gc_eval_cpu_s = 0;
-  std::uint64_t gc_table_bytes = 0;
-  std::uint64_t gc_table_chunks = 0;
   // Session-resilience telemetry: restarts survived before this result was
   // produced, the checkpoint epoch the final attempt resumed from (0 =
   // fresh), frames/bytes satisfied by zero-cost checkpoint replay instead of
@@ -76,27 +67,7 @@ struct PrimerRunResult {
   std::uint32_t checkpoints = 0;
   std::uint64_t frames_sent = 0;
   std::uint64_t prior_attempt_bytes = 0;
-  // Durable-storage telemetry from the attached SessionStore (all zero for
-  // in-memory stores or storeless runs): checkpoint bytes fsync'd to disk,
-  // fsync count, persists that degraded to memory-only (ENOSPC/EIO), whether
-  // the store ended the run degraded, and total checkpoint blob bytes held.
-  std::uint64_t store_bytes_written = 0;
-  std::uint64_t store_fsyncs = 0;
-  std::uint64_t store_degradations = 0;
-  bool store_degraded = false;
-  std::uint64_t checkpoint_blob_bytes = 0;
   CostAccumulator costs;  // per step breakdown (Table II columns)
-
-  double gc_garble_gates_per_s() const {
-    return gc_garble_s > 0 ? static_cast<double>(gc_and_gates) / gc_garble_s
-                           : 0.0;
-  }
-  double gc_eval_gates_per_s() const {
-    return gc_eval_s > 0 ? static_cast<double>(gc_and_gates) / gc_eval_s : 0.0;
-  }
-
-  double offline_total_s() const { return offline_compute_s + offline_network_s; }
-  double online_total_s() const { return online_compute_s + online_network_s; }
 };
 
 class PrimerEngine {

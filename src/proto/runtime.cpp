@@ -72,7 +72,6 @@ void ProtocolContext::step(const std::string& phase,
   }
   const auto net_before = channel.snapshot();
   const HeOpCounters he_before = eval.counters();
-  const FramedChannel::Stats framed_before = framed.stats();
   dec.take_min_margin();  // reset so the step sees only its own margins
   CpuWallTimer timer;
   fn();
@@ -89,10 +88,6 @@ void ProtocolContext::step(const std::string& phase,
   cost.he_mults += now.plain_mults - he_before.plain_mults;
   cost.he_ct_mults += now.ct_mults - he_before.ct_mults;
   cost.he_rotations += now.rotations - he_before.rotations;
-  cost.he_adds += now.adds - he_before.adds;
-  const FramedChannel::Stats& fr = framed.stats();
-  cost.retransmits += fr.retransmit_frames - framed_before.retransmit_frames;
-  cost.retransmit_bytes += fr.retransmit_bytes - framed_before.retransmit_bytes;
   cost.min_noise_margin_bits =
       std::min(cost.min_noise_margin_bits, dec.take_min_margin());
 }

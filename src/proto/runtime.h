@@ -200,21 +200,15 @@ class GcStage {
 
  private:
   // Charges the session-stat delta of one offline/online call into the
-  // step's PhaseCost, so GC work (AND gates, garble/eval seconds, table
-  // traffic) is visible per-step next to the HE op counters.
+  // step's PhaseCost, so GC work (AND gates, garble/eval seconds) is visible
+  // per-step next to the HE op counters.
   void charge(const std::string& phase, const std::string& step_name,
               const GcStats& before) {
     const GcStats& after = session_.stats();
     PhaseCost& cost = pc_.costs.at(phase, step_name);
     cost.gc_and_gates += after.and_gates - before.and_gates;
     cost.gc_garble_seconds += after.garble_seconds - before.garble_seconds;
-    cost.gc_garble_cpu_seconds +=
-        after.garble_cpu_seconds - before.garble_cpu_seconds;
     cost.gc_eval_seconds += after.eval_seconds - before.eval_seconds;
-    cost.gc_eval_cpu_seconds +=
-        after.eval_cpu_seconds - before.eval_cpu_seconds;
-    cost.gc_table_bytes += after.table_bytes - before.table_bytes;
-    cost.gc_table_chunks += after.table_chunks - before.table_chunks;
   }
 
   ProtocolContext& pc_;

@@ -21,7 +21,6 @@ TEST(Api, SessionRunsAndVerifies) {
   auto result = session.infer(tokens);
   EXPECT_EQ(result.logits, session.reference_logits(tokens));
   EXPECT_EQ(result.logits.size(), bert_nano().num_classes);
-  EXPECT_EQ(result.logits_real.size(), result.logits.size());
   EXPECT_LT(result.predicted, result.logits.size());
 }
 
@@ -30,10 +29,11 @@ TEST(Api, ReportContainsAllSteps) {
   auto session = PrivateInferenceSession::create_random_model(
       bert_nano(), PrimerVariant::kF, rng);
   auto result = session.infer({0, 1, 2, 3});
-  const std::string report = result.report();
+  const std::string text = report(result);
   for (const char* key : {"prediction", "offline", "online", "traffic",
-                          "embed", "qkv", "softmax", "others"}) {
-    EXPECT_NE(report.find(key), std::string::npos) << key;
+                          "key_transfer", "embed", "qkv", "softmax",
+                          "others"}) {
+    EXPECT_NE(text.find(key), std::string::npos) << key;
   }
 }
 
@@ -85,7 +85,7 @@ TEST(Api, DurableInferSurvivesKillBitIdentical) {
   SessionStore probe_store;
   SessionOptions probe = SessionOptions::from_env();
   probe.store = &probe_store;
-  const std::uint64_t frames = session.infer(tokens, probe).run.frames_sent;
+  const std::uint64_t frames = session.infer(tokens, probe).frames_sent;
 
   TempDir tmp;
   DurableSessionStore store(tmp.path);
@@ -93,12 +93,12 @@ TEST(Api, DurableInferSurvivesKillBitIdentical) {
   options.store = &store;
   options.max_restarts = 5;
   options.faults.kill_after = frames / 2;
-  const InferenceResult result = session.infer(tokens, options);
+  const PrimerRunResult result = session.infer(tokens, options);
 
   EXPECT_EQ(result.logits, session.reference_logits(tokens));
-  EXPECT_EQ(result.run.restarts, 1);
-  EXPECT_GT(result.run.replayed_bytes, 0u);  // resumed, not rerun
-  EXPECT_GT(result.run.store_fsyncs, 0u);    // checkpoints reached the disk
+  EXPECT_EQ(result.restarts, 1);
+  EXPECT_GT(result.replayed_bytes, 0u);  // resumed, not rerun
+  EXPECT_GT(store.telemetry().fsyncs, 0u);  // checkpoints reached the disk
 }
 
 }  // namespace

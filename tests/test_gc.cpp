@@ -576,8 +576,6 @@ TEST(GcSession, ChunkScheduleKeepsOutputAndTableBytes) {
     // Compute split is populated on both sides.
     EXPECT_GT(stats.garble_seconds, 0.0);
     EXPECT_GT(stats.eval_seconds, 0.0);
-    EXPECT_GE(stats.garble_cpu_seconds, 0.0);
-    EXPECT_GE(stats.eval_cpu_seconds, 0.0);
   }
 }
 

@@ -242,8 +242,8 @@ TEST_F(PrimerE2E, PrimerFMatchesFixedModelExactly) {
   const auto result = engine.run(tokens);
   EXPECT_EQ(result.logits, ref.forward(tokens));
   EXPECT_EQ(result.predicted, ref.predict(tokens));
-  EXPECT_GT(result.offline_total_s(), 0.0);
-  EXPECT_GT(result.online_total_s(), 0.0);
+  EXPECT_GT(result.costs.phase_total("offline").total_seconds(), 0.0);
+  EXPECT_GT(result.costs.phase_total("online").total_seconds(), 0.0);
   EXPECT_GT(result.total_bytes, 0u);
 }
 
@@ -262,6 +262,12 @@ TEST_F(PrimerE2E, PrimerFpcMatchesChgsReference) {
   PrimerEngine engine(w, PrimerVariant::kFPC);
   const auto result = engine.run(tokens);
   EXPECT_EQ(result.logits, fixed_forward_chgs(w, tokens));
+  // Without a store every flight belongs to a step, so the step costs close
+  // over the run's wire totals exactly.
+  const PhaseCost total = result.costs.total();
+  EXPECT_EQ(total.bytes_sent, result.total_bytes);
+  EXPECT_EQ(total.rounds, result.rounds);
+  EXPECT_EQ(total.gc_and_gates, result.gc_and_gates);
   // The merged path should stay close to the standard fixed model.
   const FixedBert ref(w);
   const auto ref_logits = ref.forward(tokens);
@@ -279,7 +285,11 @@ TEST_F(PrimerE2E, PrimerBaseMatchesFixedModelExactly) {
   const auto result = engine.run(tokens);
   EXPECT_EQ(result.logits, ref.forward(tokens));
   // Base has no offline phase at all.
-  EXPECT_EQ(result.offline_total_s(), 0.0);
+  EXPECT_EQ(result.costs.phase_total("offline").total_seconds(), 0.0);
+  const PhaseCost total = result.costs.total();
+  EXPECT_EQ(total.bytes_sent, result.total_bytes);
+  EXPECT_EQ(total.rounds, result.rounds);
+  EXPECT_EQ(total.gc_and_gates, result.gc_and_gates);
 }
 
 TEST_F(PrimerE2E, OfflineOffloadShrinksOnlineTraffic) {

@@ -94,9 +94,8 @@ TEST(Serving, ConcurrentSessionsBitIdenticalToReference) {
 TEST(Serving, ServerHandleEntryPoint) {
   PrimerServer server({nano_spec()});
   ServerHandle alice(server, 42);
-  const InferenceResult r = alice.infer(kTokens);
+  const PrimerRunResult r = alice.infer(kTokens);
   EXPECT_EQ(r.logits, fixture().ref);
-  EXPECT_EQ(r.logits_real.size(), r.logits.size());
 }
 
 TEST(Serving, RejectsMalformedRequests) {
@@ -376,14 +375,13 @@ TEST(Serving, DurableStoreSurvivesServerRestart) {
     const SessionOutcome first = server.infer(request(9));
     ASSERT_EQ(first.status, SessionStatus::kCompleted) << first.error;
     EXPECT_EQ(first.result.logits, fixture().ref);
-    // The checkpoints genuinely hit the disk, and the cost is visible.
-    EXPECT_GT(first.result.store_bytes_written, 0u);
-    EXPECT_GT(first.result.store_fsyncs, 0u);
-    EXPECT_EQ(first.result.store_degradations, 0u);
     first_bytes = first.result.total_bytes;
+    // The checkpoints genuinely hit the disk, and the cost is visible in
+    // the one client's store.
     const ServerStats s = server.stats();
     EXPECT_GT(s.sessions.store_bytes_written, 0u);
     EXPECT_GT(s.sessions.store_fsyncs, 0u);
+    EXPECT_EQ(s.sessions.store_degradations, 0u);
   }
   // A brand-new server over the same root — the restarted process — must
   // re-adopt the client from disk, so its next request replays the cached

@@ -598,8 +598,8 @@ TEST(DurableResilience, StoreCrashMidRunThenFreshProcessResumes) {
     EXPECT_EQ(result.logits, ref) << "mode " << static_cast<int>(mode);
     EXPECT_GE(result.resumed_epoch, 2u);
     EXPECT_GT(result.replayed_frames, 0u);  // key material off the wire
-    EXPECT_GT(result.store_bytes_written, 0u);
-    EXPECT_GT(result.checkpoint_blob_bytes, 0u);
+    EXPECT_GT(store.telemetry().bytes_written, 0u);
+    EXPECT_GT(store.blob_bytes(), 0u);
   }
 }
 
@@ -611,8 +611,8 @@ TEST(DurableResilience, DiskFailureMidRunDegradesNotDies) {
   const PrimerRunResult result = run_with_restarts(engine, store);
   EXPECT_EQ(result.logits, FixedBert(weights).forward(kTokens));
   EXPECT_EQ(result.restarts, 0);
-  EXPECT_EQ(result.store_degradations, 1u);
-  EXPECT_FALSE(result.store_degraded);  // later saves healed the latch
+  EXPECT_EQ(store.telemetry().degradations, 1u);
+  EXPECT_FALSE(store.telemetry().degraded);  // later saves healed the latch
   ASSERT_TRUE(store.last_degradation().has_value());
   EXPECT_TRUE(store.last_degradation()->retryable());
 }
@@ -767,7 +767,7 @@ TEST(DurableChaos, CrashRun) {
   // Only reached when no kill is armed (a probe-style invocation): the run
   // must then simply be correct and durable.
   EXPECT_EQ(result.logits, FixedBert(weights).forward(kTokens));
-  EXPECT_GT(result.store_bytes_written, 0u);
+  EXPECT_GT(store.telemetry().bytes_written, 0u);
 }
 
 // Fresh-process recovery: resumes from whatever PRIMER_STORE_DIR holds and
@@ -813,7 +813,7 @@ TEST(DurableChaos, FullDiskDegrades) {
   DurableSessionStore store(dir);
   const PrimerRunResult result = run_with_restarts(engine, store);
   EXPECT_EQ(result.logits, FixedBert(weights).forward(kTokens));
-  EXPECT_GT(result.store_degradations, 0u);
+  EXPECT_GT(store.telemetry().degradations, 0u);
   const auto deg = store.last_degradation();
   ASSERT_TRUE(deg.has_value());
   EXPECT_EQ(deg->kind(), ProtocolErrorKind::kStorageDegraded);

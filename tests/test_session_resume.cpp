@@ -365,6 +365,10 @@ TEST(SessionResilience, UnfaultedRunCheckpointsAndMatchesReference) {
   EXPECT_GE(c.result.checkpoints, 5u);
   EXPECT_GT(c.result.handshake_bytes, 0u);
   EXPECT_GT(c.result.frames_sent, 0u);
+  // The steps cover everything but the hello/resume handshake flights.
+  const PhaseCost total = c.result.costs.total();
+  EXPECT_EQ(total.bytes_sent + c.result.handshake_bytes, c.result.total_bytes);
+  EXPECT_EQ(total.rounds + 2, c.result.rounds);
 }
 
 TEST(SessionResilience, KillThenResumeBitIdentical) {

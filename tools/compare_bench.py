@@ -5,13 +5,12 @@ Usage:
   compare_bench.py BASE.jsonl HEAD.jsonl [--max-regress 0.15] [--only PREFIX]
 
 Both inputs are files of raw benchmark output; any line starting with
-"JSON " is parsed, everything else ignored.  Benchmarks are matched on
-(bench, label, kernel, threads); a head benchmark whose exact key is absent
-from base falls back to the base entry with kernel="" (output from commits
-that predate the --kernel sweep), so the gate keeps working across the
-schema transition.  A benchmark regresses when its head ops_per_s drops
-more than --max-regress below base.  Benchmarks present on only one side
-are reported but never fail the check (the set changes as the suite grows).
+"JSON " is parsed, everything else ignored, and so is any record without
+an ops_per_s throughput (framing_overhead has its own gate).  Benchmarks
+are matched on (bench, label, kernel, threads).  A benchmark regresses
+when its head ops_per_s drops more than --max-regress below base.
+Benchmarks present on only one side are reported but never fail the check
+(the set changes as the suite grows).
 A MISSING base file, one with no parseable JSON lines, or a base with no
 benchmarks under the --only prefix is a warning, not a failure (exit 0):
 first-run baselines — a BENCH_*.json snapshot or bench family that does
@@ -43,6 +42,8 @@ def load(path):
             if not line.startswith("JSON "):
                 continue
             rec = json.loads(line[5:])
+            if "ops_per_s" not in rec:
+                continue  # not a throughput record (e.g. framing_overhead)
             key = (
                 rec["bench"],
                 rec.get("label", ""),
@@ -88,16 +89,13 @@ def main():
           f"{'base ops/s':>12} {'head ops/s':>12} {'ratio':>7}")
     for key in sorted(head):
         name, label, kernel, threads = key
-        base_key = key
-        if base_key not in base:
-            base_key = (name, label, "", threads)  # pre-kernel-sweep base
-        if base_key not in base:
+        if key not in base:
             print(f"{name:<24} {label:<12} {kernel:<8} {threads:>3} "
                   f"{'(new)':>12} {head[key]['ops_per_s']:>12.1f}")
             continue
         matched += 1
-        consumed_base.add(base_key)
-        b = base[base_key]["ops_per_s"]
+        consumed_base.add(key)
+        b = base[key]["ops_per_s"]
         h = head[key]["ops_per_s"]
         ratio = h / b if b > 0 else float("inf")
         marker = ""
