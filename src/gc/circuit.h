@@ -108,9 +108,10 @@ struct Circuit {
 };
 
 // `copies` independent copies of one layered template circuit: the form
-// element-wise layers (one identical sub-circuit per value) are garbled
-// in, so build cost, layering cost and circuit memory scale with the
-// template instead of the value count.  Garbling it is
+// every nonlinear layer is garbled in (one identical sub-circuit per value
+// of an element-wise layer, per softmax row or per LayerNorm row), so build
+// cost, layering cost, circuit memory and wire scratch scale with the
+// template instead of the value or row count.  Garbling it is
 // bit-identical to garbling the monolithic circuit that emits the copies
 // one after another (make_activation_circuit with count = copies):
 //   - inputs: the template's inputs form `input_segments` equal segments

@@ -35,21 +35,26 @@ ReplicatedCircuit CircuitCache::activation(const ActivationCircuitSpec& spec) {
       spec.count, 3);
 }
 
-ReplicatedCircuit CircuitCache::softmax(const SoftmaxCircuitSpec& spec) {
+ReplicatedCircuit CircuitCache::softmax(const SoftmaxCircuitSpec& spec,
+                                        std::size_t rows) {
   ByteWriter key = key_header(CircuitKind::kSoftmax, spec.t, spec.count,
                               spec.frac_shift, spec.fmt);
   key.i64(spec.exp_segments_log2);
+  // Template inputs: [garbler row | evaluator row | mask row].
   return ReplicatedCircuit(
-      get(key, [&] { return make_softmax_circuit(spec); }), 1, 1);
+      get(key, [&] { return make_softmax_circuit(spec); }), rows, 3);
 }
 
-ReplicatedCircuit CircuitCache::layernorm(const LayerNormCircuitSpec& spec) {
+ReplicatedCircuit CircuitCache::layernorm(const LayerNormCircuitSpec& spec,
+                                          std::size_t rows) {
   ByteWriter key = key_header(CircuitKind::kLayerNorm, spec.t, spec.d,
                               spec.frac_shift, spec.fmt);
   key.vec_i64(spec.gamma);
   key.vec_i64(spec.beta);
+  // Template inputs: [garbler acc | garbler residual | evaluator acc |
+  // evaluator residual | mask], one row each.
   return ReplicatedCircuit(
-      get(key, [&] { return make_layernorm_circuit(spec); }), 1, 1);
+      get(key, [&] { return make_layernorm_circuit(spec); }), rows, 5);
 }
 
 CircuitCache::Layers CircuitCache::get(

@@ -11,10 +11,13 @@
 // never addresses or block indices, so two blocks or two models whose
 // LayerNorm parameters differ never share a circuit.
 //
-// Element-wise activation circuits are `count` identical per-value copies;
-// the cache holds one count = 1 template per (t, frac_shift, activation,
-// format) and hands out the replicated form for any count, so circuit
-// memory and first-use cost scale with the template, not the value count.
+// Every cached circuit is a template replicated over independent copies:
+// one value of an element-wise activation (per t, frac_shift, activation
+// and format), one softmax row, or one LayerNorm row.  Rows are
+// independent — the max, sum and mean couple values only within a row — so
+// a whole layer (every head's rows for softmax) is one ReplicatedCircuit,
+// and circuit memory and first-use cost scale with the template, not the
+// value or row count.
 //
 // Thread safety: lookups may race from any number of threads.  The first
 // caller of a key builds and layers the circuit outside the cache lock;
@@ -42,9 +45,14 @@ class CircuitCache {
   // make_activation_circuit(spec) in replicated form: the count = 1
   // template, spec.count copies, inputs in three segments.
   ReplicatedCircuit activation(const ActivationCircuitSpec& spec);
-  // make_softmax_circuit(spec) / make_layernorm_circuit(spec), one copy.
-  ReplicatedCircuit softmax(const SoftmaxCircuitSpec& spec);
-  ReplicatedCircuit layernorm(const LayerNormCircuitSpec& spec);
+  // The one-row make_softmax_circuit(spec) as a template of `rows` copies,
+  // inputs in three segments (garbler scores, evaluator scores, masks).
+  ReplicatedCircuit softmax(const SoftmaxCircuitSpec& spec, std::size_t rows);
+  // The one-row make_layernorm_circuit(spec) as a template of `rows`
+  // copies, inputs in its five segments (garbler acc, garbler residual,
+  // evaluator acc, evaluator residual, masks).
+  ReplicatedCircuit layernorm(const LayerNormCircuitSpec& spec,
+                              std::size_t rows);
 
  private:
   using Layers = std::shared_ptr<const CircuitLayers>;

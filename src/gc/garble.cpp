@@ -307,55 +307,40 @@ GcKernelTier gc_kernel_tier() {
   return vaes_ok ? vaes_tier : kSseTier;
 }
 
-// Copies every copy's slice of the global input labels into its wire block
-// and seeds the block's delta slot (see ReplicatedCircuit for the layout).
-void scatter_inputs(const ReplicatedCircuit& rc, const Label* inputs,
-                    Label* w, Label delta_slot) {
+// Runs every copy of `rc`, copy by copy, each in one (template wires + 1)
+// label block leased from the running thread's arena, so wire scratch is
+// one block per running thread whatever the copy count.  A copy scatters
+// its slice of the global input labels `inputs` into its block (see
+// ReplicatedCircuit for the layout), seeds the block's delta slot (the
+// reserved wire the flattened NOT triples XOR against; see
+// CircuitLevel::free_triples), runs its levels and writes its output
+// labels to `outputs` at copy c * (template outputs).  Its block stays in
+// cache through all its levels, which beats running a level across all
+// copies even though template levels are often only one to three AND gates
+// wide (carry chains).  Per level, run_span(quads, n, copy_w,
+// ordinal_base) garbles or evaluates spans of the level's AND gates, then
+// the free sweep runs and level_done(copy, level) fires.  Copy 0 runs first
+// on the calling thread, fanning wide levels across the pool (a one-copy
+// circuit is all copy 0; the garbler streams copy 0's table prefix); the
+// other copies then fan out across the pool one copy per task, their
+// levels running inline.  Dirty block reuse is safe: every wire is written
+// (input scatter or gate output) before it is read.
+template <class RunSpan, class LevelDone>
+void run_copies(const ReplicatedCircuit& rc, const Label* inputs,
+                Label delta_slot, Label* outputs, std::size_t gate_work,
+                const RunSpan& run_span, const LevelDone& level_done) {
   const CircuitLayers& lay = *rc.tmpl;
   const std::size_t block = static_cast<std::size_t>(lay.num_wires) + 1;
   const std::size_t seg =
       static_cast<std::size_t>(lay.num_inputs) / rc.input_segments;
-  for (std::size_t c = 0; c < rc.copies; ++c) {
-    Label* wc = w + c * block;
+  auto run_copy = [&](std::size_t c) {
+    auto scratch = PolyArena::local().checkout(2 * block);
+    Label* wc = reinterpret_cast<Label*>(scratch.data());
     for (std::size_t s = 0; s < rc.input_segments; ++s) {
       std::memcpy(static_cast<void*>(wc + s * seg),
                   inputs + (s * rc.copies + c) * seg, seg * sizeof(Label));
     }
     wc[block - 1] = delta_slot;
-  }
-}
-
-// Every copy's output labels, in global output order.
-std::vector<Label> gather_outputs(const ReplicatedCircuit& rc,
-                                  const Label* w) {
-  const CircuitLayers& lay = *rc.tmpl;
-  const std::size_t block = static_cast<std::size_t>(lay.num_wires) + 1;
-  std::vector<Label> out;
-  out.reserve(rc.num_outputs());
-  for (std::size_t c = 0; c < rc.copies; ++c) {
-    for (const auto o : lay.outputs) out.push_back(w[c * block + o]);
-  }
-  return out;
-}
-
-// Runs every level of every copy of `rc` over the wire blocks at `w`
-// (copy c's block at w + c * (template wires + 1)), copy by copy: each
-// copy's wire block stays in cache through all its levels, which beats
-// running a level across all copies even though template levels are often
-// only one to three AND gates wide (carry chains).  Per level,
-// run_span(quads, n, copy_w, ordinal_base) garbles or evaluates spans of
-// the level's AND gates, then the free sweep runs and level_done(copy,
-// level) fires.  Copy 0 runs first on the calling thread, fanning wide
-// levels across the pool (a one-copy circuit is all copy 0; the garbler
-// streams copy 0's table prefix); the other copies then fan out across the
-// pool one copy per task, their levels running inline.
-template <class RunSpan, class LevelDone>
-void run_copies(const ReplicatedCircuit& rc, Label* w, std::size_t gate_work,
-                const RunSpan& run_span, const LevelDone& level_done) {
-  const CircuitLayers& lay = *rc.tmpl;
-  const std::size_t block = static_cast<std::size_t>(lay.num_wires) + 1;
-  auto run_copy = [&](std::size_t c) {
-    Label* wc = w + c * block;
     const auto base = static_cast<std::uint32_t>(c * lay.and_count);
     for (std::size_t l = 0; l < lay.levels.size(); ++l) {
       const CircuitLevel& level = lay.levels[l];
@@ -374,6 +359,8 @@ void run_copies(const ReplicatedCircuit& rc, Label* w, std::size_t gate_work,
       free_sweep(wc, level);
       level_done(c, l);
     }
+    Label* out = outputs + c * lay.outputs.size();
+    for (const auto o : lay.outputs) *out++ = wc[o];
   };
   run_copy(0);
   if (rc.copies > 1) {
@@ -404,15 +391,7 @@ GarbledCircuit Garbler::garble(const ReplicatedCircuit& rc,
   gc.delta.lo |= 1;  // point-and-permute: lsb(R) = 1
   gc.input_labels0.resize(rc.num_inputs());
   sample_input_labels(rng_, gc.input_labels0.data(), rc.num_inputs());
-  // Wire labels live in arena scratch, one block per copy with one extra
-  // slot: the reserved delta wire the flattened free-gate triples XOR
-  // against (NOT gates; see CircuitLevel::free_triples).  Dirty reuse is
-  // safe — every wire is written (input scatter or gate output) before it
-  // is read.
-  const std::size_t block = static_cast<std::size_t>(lay.num_wires) + 1;
-  auto scratch = PolyArena::local().checkout(2 * block * rc.copies);
-  Label* w0 = reinterpret_cast<Label*>(scratch.data());
-  scatter_inputs(rc, gc.input_labels0.data(), w0, gc.delta);
+  gc.output_labels0.resize(rc.num_outputs());
   // Uninitialized resize (see LabelVec): every row is written by exactly one
   // AND gate's kernel before the sink or the caller reads it.
   const std::size_t total_rows = 2 * rc.and_count();
@@ -441,10 +420,9 @@ GarbledCircuit Garbler::garble(const ReplicatedCircuit& rc,
       streamed = 2 * final_ands;
     }
   };
-  run_copies(rc, w0, kGarbleGateWork, run_span, level_done);
+  run_copies(rc, gc.input_labels0.data(), gc.delta,
+             gc.output_labels0.data(), kGarbleGateWork, run_span, level_done);
   if (sink && streamed < total_rows) sink(rows, streamed, total_rows);
-
-  gc.output_labels0 = gather_outputs(rc, w0);
   return gc;
 }
 
@@ -464,13 +442,6 @@ std::vector<Label> GcEvaluator::eval(const ReplicatedCircuit& rc,
     throw std::invalid_argument("GcEvaluator::eval: table size mismatch");
   }
   const FixedKeyAes& aes = garbling_hash();
-  // Wire labels in arena scratch (dirty reuse is safe; see garble).  The
-  // delta slot is zero on the evaluator's side: the flattened NOT triples
-  // XOR with it, passing the active label through.
-  const std::size_t block = static_cast<std::size_t>(rc.tmpl->num_wires) + 1;
-  auto scratch = PolyArena::local().checkout(2 * block * rc.copies);
-  Label* w = reinterpret_cast<Label*>(scratch.data());
-  scatter_inputs(rc, active_inputs.data(), w, Label{});
   const Label* rows = table.rows.data();
 
   const EvalSpanFn span = gc_kernel_tier().eval;
@@ -478,8 +449,12 @@ std::vector<Label> GcEvaluator::eval(const ReplicatedCircuit& rc,
                             Label* wc, std::uint32_t base) {
     span(aes, quads, n, base, rows, wc);
   };
-  run_copies(rc, w, kEvalGateWork, run_span, [](std::size_t, std::size_t) {});
-  return gather_outputs(rc, w);
+  // The delta slot is zero on the evaluator's side: the flattened NOT
+  // triples XOR with it, passing the active label through.
+  std::vector<Label> out(rc.num_outputs());
+  run_copies(rc, active_inputs.data(), Label{}, out.data(), kEvalGateWork,
+             run_span, [](std::size_t, std::size_t) {});
+  return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -461,9 +461,11 @@ ModelEstimate estimate_cost(const BertConfig& cfg, CostedScheme scheme,
       } else {
         add_step(me, "qk", ctct_product(c, n, dh, n));
       }
-      // Softmax GC.
-      gc("softmax", static_cast<double>(c.gates.softmax_row), n);
-      // P x V.
+    }
+    // Softmax GC: one stage over every head's rows.
+    gc("softmax", static_cast<double>(H) * n * c.gates.softmax_row, H * n * n);
+    // P x V.
+    for (std::size_t h = 0; h < H; ++h) {
       if (offload) {
         add_step(me, "attnv", fhgs_product(c, n, n, dh));
       } else {

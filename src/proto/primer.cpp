@@ -1,6 +1,8 @@
 #include "proto/primer.h"
 
 #include <algorithm>
+#include <functional>
+#include <initializer_list>
 #include <stdexcept>
 
 namespace primer {
@@ -21,10 +23,30 @@ void paste_cols(MatI& dst, const MatI& src, std::size_t from) {
   }
 }
 
-MatI row_of(const MatI& m, std::size_t r) {
-  MatI out(1, m.cols());
-  for (std::size_t j = 0; j < m.cols(); ++j) out(0, j) = m(r, j);
+MatI slice_rows(const MatI& m, std::size_t from, std::size_t count) {
+  MatI out(count, m.cols());
+  std::copy_n(m.data().begin() + from * m.cols(), count * m.cols(),
+              out.data().begin());
   return out;
+}
+
+void paste_rows(MatI& dst, const MatI& src, std::size_t from) {
+  std::copy(src.data().begin(), src.data().end(),
+            dst.data().begin() + from * dst.cols());
+}
+
+// GC input bits: the ring bits of each matrix in turn, concatenated.  Row
+// i of a matrix is copy i of a row-template circuit, and matrices stack
+// into consecutive input segments.
+std::vector<bool> ring_bits_of(
+    const ProtocolContext& pc,
+    std::initializer_list<std::reference_wrapper<const MatI>> ms) {
+  std::vector<bool> bits;
+  for (const MatI& m : ms) {
+    const auto b = pc.ring_bits(m);
+    bits.insert(bits.end(), b.begin(), b.end());
+  }
+  return bits;
 }
 
 // One-hot input with INTEGER entries (value 1, not 1<<frac): the embedding
@@ -170,14 +192,13 @@ PrimerRunResult PrimerEngine::run_protocol(
   // one-hot input; deeper blocks merge their Q/K projections into the
   // adjacent FHGS ("incorporating three HGS modules into the adjacent FHGS
   // module", Fig. 3d) using an identity embedding over the block input.
-  auto use_chgs = [&](std::size_t b) { (void)b; return merged_qk(); };
+  const bool chgs = merged_qk();
 
   // --- client masks (sampled offline) ---------------------------------------
   MatI r0 = ring.random(pc.client_rng, n, cfg.vocab);
   MatI r_u = ring.random(pc.client_rng, n, d);
   struct BlockMasks {
-    MatI rq, rk, rv, ra, rl1, rg, rl2;
-    std::vector<MatI> rp;
+    MatI rq, rk, rv, rp, ra, rl1, rg, rl2;  // rp: every head's rows
   };
   std::vector<BlockMasks> bm(cfg.blocks);
   for (auto& m : bm) {
@@ -188,9 +209,7 @@ PrimerRunResult PrimerEngine::run_protocol(
     m.rl1 = ring.random(pc.client_rng, n, d);
     m.rg = ring.random(pc.client_rng, n, cfg.d_ff);
     m.rl2 = ring.random(pc.client_rng, n, d);
-    for (std::size_t h = 0; h < heads; ++h) {
-      m.rp.push_back(ring.random(pc.client_rng, n, n));
-    }
+    m.rp = ring.random(pc.client_rng, heads * n, n);
   }
 
   // --- protocol objects ------------------------------------------------------
@@ -223,7 +242,7 @@ PrimerRunResult PrimerEngine::run_protocol(
   for (std::size_t b = 0; b < cfg.blocks; ++b) {
     const auto& blk = w_.blocks[b];
     if (offline_offload()) {
-      if (!use_chgs(b)) {
+      if (!chgs) {
         bp[b].q = hgs(blk.wq, blk.b_q, n);
         bp[b].k = hgs(blk.wk, blk.b_k, n);
       }
@@ -232,7 +251,7 @@ PrimerRunResult PrimerEngine::run_protocol(
       bp[b].f1 = hgs(blk.w1, blk.b_1, n);
       bp[b].f2 = hgs(blk.w2, blk.b_2, n);
       for (std::size_t h = 0; h < heads; ++h) {
-        if (use_chgs(b)) {
+        if (chgs) {
           if (b == 0) {
             bp[b].chgs.push_back(std::make_unique<ChgsScores>(
                 pc, n, w_.we, w_.pos, slice_cols(blk.wq, h * dh, dh),
@@ -298,7 +317,7 @@ PrimerRunResult PrimerEngine::run_protocol(
     spec.count = n;
     spec.frac_shift = shift;
     spec.fmt = w_.fmt;
-    return circuits.softmax(spec);
+    return circuits.softmax(spec, heads * n);
   };
   auto ln_circuit = [&](const std::vector<std::int64_t>& gamma,
                         const std::vector<std::int64_t>& beta) {
@@ -309,56 +328,41 @@ PrimerRunResult PrimerEngine::run_protocol(
     spec.gamma = gamma;
     spec.beta = beta;
     spec.fmt = w_.fmt;
-    return circuits.layernorm(spec);
+    return circuits.layernorm(spec, n);
   };
 
-  GcStage gc_embed(pc, act_circuit(n * d, 0, Activation::kIdentity),
-                   RevealTo::kGarbler);
-  gc_embed.offline(off, embed_step);
+  // Garbles one stage's circuit and ships its tables.
+  auto stage = [&](ReplicatedCircuit circuit, const std::string& step,
+                   RevealTo reveal = RevealTo::kGarbler) {
+    auto s = std::make_unique<GcStage>(pc, std::move(circuit), reveal);
+    s->offline(off, step);
+    return s;
+  };
+  const auto gc_embed =
+      stage(act_circuit(n * d, 0, Activation::kIdentity), embed_step);
 
+  // One stage per nonlinear layer: softmax covers every head's rows, each
+  // LayerNorm every token's row.
   struct BlockStages {
-    std::unique_ptr<GcStage> qkv;
-    std::vector<std::unique_ptr<GcStage>> softmax;
-    std::unique_ptr<GcStage> attnv;
-    std::vector<std::unique_ptr<GcStage>> ln1, ln2;
-    std::unique_ptr<GcStage> gelu;
+    std::unique_ptr<GcStage> qkv, softmax, attnv, ln1, ln2, gelu;
   };
   std::vector<BlockStages> bs(cfg.blocks);
   for (std::size_t b = 0; b < cfg.blocks; ++b) {
     const auto& blk = w_.blocks[b];
-    const std::size_t qkv_count = use_chgs(b) ? n * d : 3 * n * d;
-    bs[b].qkv = std::make_unique<GcStage>(
-        pc, act_circuit(qkv_count, frac, Activation::kIdentity),
-        RevealTo::kGarbler);
-    bs[b].qkv->offline(off, use_chgs(b) ? "attnv" : "qkv");
-    const std::size_t score_shift = use_chgs(b) ? 3 * frac : frac;
-    for (std::size_t h = 0; h < heads; ++h) {
-      for (std::size_t i = 0; i < n; ++i) {
-        bs[b].softmax.push_back(std::make_unique<GcStage>(
-            pc, softmax_circuit(score_shift), RevealTo::kGarbler));
-        bs[b].softmax.back()->offline(off, "softmax");
-      }
-    }
-    bs[b].attnv = std::make_unique<GcStage>(
-        pc, act_circuit(n * d, frac, Activation::kIdentity),
-        RevealTo::kGarbler);
-    bs[b].attnv->offline(off, "attnv");
-    for (std::size_t i = 0; i < n; ++i) {
-      bs[b].ln1.push_back(std::make_unique<GcStage>(
-          pc, ln_circuit(blk.ln1_gamma, blk.ln1_beta), RevealTo::kGarbler));
-      bs[b].ln1.back()->offline(off, "others");
-      bs[b].ln2.push_back(std::make_unique<GcStage>(
-          pc, ln_circuit(blk.ln2_gamma, blk.ln2_beta), RevealTo::kGarbler));
-      bs[b].ln2.back()->offline(off, "others");
-    }
-    bs[b].gelu = std::make_unique<GcStage>(
-        pc, act_circuit(n * cfg.d_ff, frac, Activation::kGelu),
-        RevealTo::kGarbler);
-    bs[b].gelu->offline(off, "others");
+    bs[b].qkv = stage(
+        act_circuit((chgs ? 1 : 3) * n * d, frac, Activation::kIdentity),
+        chgs ? "attnv" : "qkv");
+    bs[b].softmax = stage(softmax_circuit(chgs ? 3 * frac : frac), "softmax");
+    bs[b].attnv =
+        stage(act_circuit(n * d, frac, Activation::kIdentity), "attnv");
+    bs[b].ln1 = stage(ln_circuit(blk.ln1_gamma, blk.ln1_beta), "others");
+    bs[b].ln2 = stage(ln_circuit(blk.ln2_gamma, blk.ln2_beta), "others");
+    bs[b].gelu =
+        stage(act_circuit(n * cfg.d_ff, frac, Activation::kGelu), "others");
   }
-  GcStage gc_cls(pc, act_circuit(cfg.num_classes, frac, Activation::kIdentity),
-                 RevealTo::kEvaluator);
-  gc_cls.offline(off, "others");
+  const auto gc_cls =
+      stage(act_circuit(cfg.num_classes, frac, Activation::kIdentity),
+            "others", RevealTo::kEvaluator);
   pc.checkpoint("gc_offline");
 
   // --- HGS/FHGS/CHGS offline -------------------------------------------------
@@ -366,26 +370,26 @@ PrimerRunResult PrimerEngine::run_protocol(
     embed_hgs->offline(embed_step, r0);
     for (std::size_t b = 0; b < cfg.blocks; ++b) {
       const MatI& rin = (b == 0) ? r_u : bm[b - 1].rl2;
-      if (!use_chgs(b)) {
+      if (!chgs) {
         bp[b].q->offline("qkv", rin);
         bp[b].k->offline("qkv", rin);
       }
-      bp[b].v->offline(use_chgs(b) ? "attnv" : "qkv", rin);
+      bp[b].v->offline(chgs ? "attnv" : "qkv", rin);
       bp[b].o->offline("others", bm[b].ra);
       bp[b].f1->offline("others", bm[b].rl1);
       bp[b].f2->offline("others", bm[b].rg);
       for (std::size_t h = 0; h < heads; ++h) {
-        if (use_chgs(b)) {
+        if (chgs) {
           bp[b].chgs[h]->offline("qk", b == 0 ? r0 : rin);
         } else {
           bp[b].qk[h]->offline("qk", slice_cols(bm[b].rq, h * dh, dh),
                                slice_cols(bm[b].rk, h * dh, dh).transposed());
         }
-        bp[b].pv[h]->offline("attnv", bm[b].rp[h],
+        bp[b].pv[h]->offline("attnv", slice_rows(bm[b].rp, h * n, n),
                              slice_cols(bm[b].rv, h * dh, dh));
       }
     }
-    cls_hgs->offline("others", row_of(bm[cfg.blocks - 1].rl2, 0));
+    cls_hgs->offline("others", slice_rows(bm[cfg.blocks - 1].rl2, 0, 1));
   }
   pc.checkpoint("linear_offline");
 
@@ -413,19 +417,11 @@ PrimerRunResult PrimerEngine::run_protocol(
   });
 
   Shared cur;  // current block input (raw domain)
-  {
-    const auto bits = gc_embed.online(
-        "online", embed_step,
-        pc.ring_bits(acc_u.server),
-        [&] {
-          auto e = pc.ring_bits(acc_u.client);
-          const auto r = pc.ring_bits(r_u);
-          e.insert(e.end(), r.begin(), r.end());
-          return e;
-        }());
-    cur.d = pc.bits_to_ring(bits, n, d);
-    cur.r = r_u;
-  }
+  cur.d = pc.bits_to_ring(
+      gc_embed->online("online", embed_step, ring_bits_of(pc, {acc_u.server}),
+                       ring_bits_of(pc, {acc_u.client, r_u})),
+      n, d);
+  cur.r = r_u;
   pc.checkpoint("online_embed");
 
   for (std::size_t b = 0; b < cfg.blocks; ++b) {
@@ -434,65 +430,48 @@ PrimerRunResult PrimerEngine::run_protocol(
     {
       LinearShares aq, ak, av;
       if (offline_offload()) {
-        if (!use_chgs(b)) {
+        if (!chgs) {
           aq = bp[b].q->online("qkv", cur.d);
           ak = bp[b].k->online("qkv", cur.d);
         }
-        av = bp[b].v->online(use_chgs(b) ? "attnv" : "qkv", cur.d);
+        av = bp[b].v->online(chgs ? "attnv" : "qkv", cur.d);
       } else {
         aq = bp[b].qb->online("qkv", cur.r, cur.d);
         ak = bp[b].kb->online("qkv", cur.r, cur.d);
         av = bp[b].vb->online("qkv", cur.r, cur.d);
       }
       // One GC stage truncates Q|K|V together (or V alone under CHGS).
-      std::vector<bool> gbits, ebits;
-      auto append = [&](const LinearShares& s, const MatI& mask) {
-        const auto g = pc.ring_bits(s.server);
-        gbits.insert(gbits.end(), g.begin(), g.end());
-        const auto e = pc.ring_bits(s.client);
-        ebits.insert(ebits.end(), e.begin(), e.end());
-        (void)mask;
-      };
-      std::vector<bool> maskbits;
-      auto append_mask = [&](const MatI& mask) {
-        const auto m = pc.ring_bits(mask);
-        maskbits.insert(maskbits.end(), m.begin(), m.end());
-      };
-      if (use_chgs(b)) {
-        append(av, bm[b].rv);
-        append_mask(bm[b].rv);
-      } else {
-        append(aq, bm[b].rq);
-        append(ak, bm[b].rk);
-        append(av, bm[b].rv);
-        append_mask(bm[b].rq);
-        append_mask(bm[b].rk);
-        append_mask(bm[b].rv);
-      }
-      ebits.insert(ebits.end(), maskbits.begin(), maskbits.end());
-      const auto bits = bs[b].qkv->online(
-          "online", use_chgs(b) ? "attnv" : "qkv", gbits, ebits);
-      if (use_chgs(b)) {
+      std::vector<bool> bits;
+      if (chgs) {
+        bits = bs[b].qkv->online("online", "attnv",
+                                 ring_bits_of(pc, {av.server}),
+                                 ring_bits_of(pc, {av.client, bm[b].rv}));
         v.d = pc.bits_to_ring(bits, n, d);
-        v.r = bm[b].rv;
       } else {
-        const std::size_t per = n * d * pc.share_bits();
-        q.d = pc.bits_to_ring({bits.begin(), bits.begin() + per}, n, d);
-        k.d = pc.bits_to_ring({bits.begin() + per, bits.begin() + 2 * per}, n, d);
-        v.d = pc.bits_to_ring({bits.begin() + 2 * per, bits.end()}, n, d);
-        q.r = bm[b].rq;
-        k.r = bm[b].rk;
-        v.r = bm[b].rv;
+        bits = bs[b].qkv->online(
+            "online", "qkv",
+            ring_bits_of(pc, {aq.server, ak.server, av.server}),
+            ring_bits_of(pc, {aq.client, ak.client, av.client, bm[b].rq,
+                              bm[b].rk, bm[b].rv}));
+        const MatI qkv = pc.bits_to_ring(bits, 3 * n, d);
+        q.d = slice_rows(qkv, 0, n);
+        k.d = slice_rows(qkv, n, n);
+        v.d = slice_rows(qkv, 2 * n, n);
       }
+      q.r = bm[b].rq;
+      k.r = bm[b].rk;
+      v.r = bm[b].rv;
     }
 
     // --- attention scores + softmax + value ---------------------------------
-    LinearShares acc_attn;
-    acc_attn.client = MatI(n, d);
-    acc_attn.server = MatI(n, d);
+    // Every head's scores, stacked head-major: row h*n + i is copy h*n + i
+    // of the softmax row template.
+    LinearShares scores;
+    scores.client = MatI(heads * n, n);
+    scores.server = MatI(heads * n, n);
     for (std::size_t h = 0; h < heads; ++h) {
       LinearShares score;
-      if (use_chgs(b)) {
+      if (chgs) {
         score = bp[b].chgs[h]->online("qk", b == 0 ? d0 : cur.d);
       } else if (offline_offload()) {
         score = bp[b].qk[h]->online(
@@ -504,28 +483,28 @@ PrimerRunResult PrimerEngine::run_protocol(
             slice_cols(k.r, h * dh, dh).transposed(),
             slice_cols(k.d, h * dh, dh).transposed());
       }
-      // Softmax row by row.
-      Shared p;
-      p.d = MatI(n, n);
-      p.r = bm[b].rp[h];
-      for (std::size_t i = 0; i < n; ++i) {
-        auto ebits = pc.ring_bits_row(score.client, i);
-        const auto rbits = pc.ring_bits_row(bm[b].rp[h], i);
-        ebits.insert(ebits.end(), rbits.begin(), rbits.end());
-        const auto bits = bs[b].softmax[h * n + i]->online(
-            "online", "softmax", pc.ring_bits_row(score.server, i), ebits);
-        const MatI rowm = pc.bits_to_ring(bits, 1, n);
-        for (std::size_t j = 0; j < n; ++j) p.d(i, j) = rowm(0, j);
-      }
-      // P x V.
+      paste_rows(scores.client, score.client, h * n);
+      paste_rows(scores.server, score.server, h * n);
+    }
+    Shared p;
+    p.d = pc.bits_to_ring(
+        bs[b].softmax->online("online", "softmax",
+                              ring_bits_of(pc, {scores.server}),
+                              ring_bits_of(pc, {scores.client, bm[b].rp})),
+        heads * n, n);
+    p.r = bm[b].rp;
+    LinearShares acc_attn;
+    acc_attn.client = MatI(n, d);
+    acc_attn.server = MatI(n, d);
+    for (std::size_t h = 0; h < heads; ++h) {
       LinearShares head_out;
       if (offline_offload()) {
-        head_out = bp[b].pv[h]->online("attnv", p.d,
+        head_out = bp[b].pv[h]->online("attnv", slice_rows(p.d, h * n, n),
                                        slice_cols(v.d, h * dh, dh));
       } else {
         head_out = bp[b].pv_cc[h]->online(
-            "attnv", p.r, p.d, slice_cols(v.r, h * dh, dh),
-            slice_cols(v.d, h * dh, dh));
+            "attnv", slice_rows(p.r, h * n, n), slice_rows(p.d, h * n, n),
+            slice_cols(v.r, h * dh, dh), slice_cols(v.d, h * dh, dh));
       }
       paste_cols(acc_attn.client, head_out.client, h * dh);
       paste_cols(acc_attn.server, head_out.server, h * dh);
@@ -533,16 +512,12 @@ PrimerRunResult PrimerEngine::run_protocol(
 
     // Truncate attention output.
     Shared attn;
-    {
-      auto ebits = pc.ring_bits(acc_attn.client);
-      const auto rbits = pc.ring_bits(bm[b].ra);
-      ebits.insert(ebits.end(), rbits.begin(), rbits.end());
-      const auto bits = bs[b].attnv->online("online", "attnv",
-                                            pc.ring_bits(acc_attn.server),
-                                            ebits);
-      attn.d = pc.bits_to_ring(bits, n, d);
-      attn.r = bm[b].ra;
-    }
+    attn.d = pc.bits_to_ring(
+        bs[b].attnv->online("online", "attnv",
+                            ring_bits_of(pc, {acc_attn.server}),
+                            ring_bits_of(pc, {acc_attn.client, bm[b].ra})),
+        n, d);
+    attn.r = bm[b].ra;
 
     // --- projection + LN1 ----------------------------------------------------
     LinearShares acc_proj;
@@ -552,22 +527,12 @@ PrimerRunResult PrimerEngine::run_protocol(
       acc_proj = bp[b].ob->online("others", attn.r, attn.d);
     }
     Shared l1;
-    l1.d = MatI(n, d);
+    l1.d = pc.bits_to_ring(
+        bs[b].ln1->online(
+            "online", "others", ring_bits_of(pc, {acc_proj.server, cur.d}),
+            ring_bits_of(pc, {acc_proj.client, cur.r, bm[b].rl1})),
+        n, d);
     l1.r = bm[b].rl1;
-    for (std::size_t i = 0; i < n; ++i) {
-      auto gbits = pc.ring_bits_row(acc_proj.server, i);
-      const auto gres = pc.ring_bits_row(cur.d, i);
-      gbits.insert(gbits.end(), gres.begin(), gres.end());
-      auto ebits = pc.ring_bits_row(acc_proj.client, i);
-      const auto eres = pc.ring_bits_row(cur.r, i);
-      ebits.insert(ebits.end(), eres.begin(), eres.end());
-      const auto rbits = pc.ring_bits_row(bm[b].rl1, i);
-      ebits.insert(ebits.end(), rbits.begin(), rbits.end());
-      const auto bits =
-          bs[b].ln1[i]->online("online", "others", gbits, ebits);
-      const MatI rowm = pc.bits_to_ring(bits, 1, d);
-      for (std::size_t j = 0; j < d; ++j) l1.d(i, j) = rowm(0, j);
-    }
 
     // --- FFN + LN2 -----------------------------------------------------------
     LinearShares acc_f1;
@@ -577,15 +542,12 @@ PrimerRunResult PrimerEngine::run_protocol(
       acc_f1 = bp[b].f1b->online("others", l1.r, l1.d);
     }
     Shared g;
-    {
-      auto ebits = pc.ring_bits(acc_f1.client);
-      const auto rbits = pc.ring_bits(bm[b].rg);
-      ebits.insert(ebits.end(), rbits.begin(), rbits.end());
-      const auto bits = bs[b].gelu->online("online", "others",
-                                           pc.ring_bits(acc_f1.server), ebits);
-      g.d = pc.bits_to_ring(bits, n, cfg.d_ff);
-      g.r = bm[b].rg;
-    }
+    g.d = pc.bits_to_ring(
+        bs[b].gelu->online("online", "others",
+                           ring_bits_of(pc, {acc_f1.server}),
+                           ring_bits_of(pc, {acc_f1.client, bm[b].rg})),
+        n, cfg.d_ff);
+    g.r = bm[b].rg;
     LinearShares acc_f2;
     if (offline_offload()) {
       acc_f2 = bp[b].f2->online("others", g.d);
@@ -593,22 +555,12 @@ PrimerRunResult PrimerEngine::run_protocol(
       acc_f2 = bp[b].f2b->online("others", g.r, g.d);
     }
     Shared l2;
-    l2.d = MatI(n, d);
+    l2.d = pc.bits_to_ring(
+        bs[b].ln2->online(
+            "online", "others", ring_bits_of(pc, {acc_f2.server, l1.d}),
+            ring_bits_of(pc, {acc_f2.client, l1.r, bm[b].rl2})),
+        n, d);
     l2.r = bm[b].rl2;
-    for (std::size_t i = 0; i < n; ++i) {
-      auto gbits = pc.ring_bits_row(acc_f2.server, i);
-      const auto gres = pc.ring_bits_row(l1.d, i);
-      gbits.insert(gbits.end(), gres.begin(), gres.end());
-      auto ebits = pc.ring_bits_row(acc_f2.client, i);
-      const auto eres = pc.ring_bits_row(l1.r, i);
-      ebits.insert(ebits.end(), eres.begin(), eres.end());
-      const auto rbits = pc.ring_bits_row(bm[b].rl2, i);
-      ebits.insert(ebits.end(), rbits.begin(), rbits.end());
-      const auto bits =
-          bs[b].ln2[i]->online("online", "others", gbits, ebits);
-      const MatI rowm = pc.bits_to_ring(bits, 1, d);
-      for (std::size_t j = 0; j < d; ++j) l2.d(i, j) = rowm(0, j);
-    }
 
     cur = l2;
     pc.checkpoint("online_block_" + std::to_string(b));
@@ -617,19 +569,19 @@ PrimerRunResult PrimerEngine::run_protocol(
   // --- classifier ------------------------------------------------------------
   LinearShares acc_cls;
   if (offline_offload()) {
-    acc_cls = cls_hgs->online("others", row_of(cur.d, 0));
+    acc_cls = cls_hgs->online("others", slice_rows(cur.d, 0, 1));
   } else {
-    acc_cls = cls_base->online("others", row_of(cur.r, 0), row_of(cur.d, 0));
+    acc_cls = cls_base->online("others", slice_rows(cur.r, 0, 1),
+                               slice_rows(cur.d, 0, 1));
   }
   PrimerRunResult result;
   {
-    auto ebits = pc.ring_bits(acc_cls.client);
     const MatI zero_mask(1, cfg.num_classes);
-    const auto rbits = pc.ring_bits(zero_mask);
-    ebits.insert(ebits.end(), rbits.begin(), rbits.end());
-    const auto bits = gc_cls.online("online", "others",
-                                    pc.ring_bits(acc_cls.server), ebits);
-    const MatI logits_ring = pc.bits_to_ring(bits, 1, cfg.num_classes);
+    const MatI logits_ring = pc.bits_to_ring(
+        gc_cls->online("online", "others",
+                       ring_bits_of(pc, {acc_cls.server}),
+                       ring_bits_of(pc, {acc_cls.client, zero_mask})),
+        1, cfg.num_classes);
     result.logits.resize(cfg.num_classes);
     for (std::size_t c = 0; c < cfg.num_classes; ++c) {
       result.logits[c] = ring.center(logits_ring(0, c));

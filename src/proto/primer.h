@@ -18,7 +18,11 @@
 // The garbled circuits are model-scoped: the engine owns one CircuitCache,
 // and the first session that needs a circuit builds and layers it; every
 // later session (of this engine, or of any PrimerServer worker hosting the
-// model) garbles the same immutable layering with fresh randomness.
+// model) garbles the same immutable layering with fresh randomness.  Every
+// nonlinear layer of a block (QKV and AttnV truncation, softmax, LN1, LN2,
+// GELU) is one GC stage over a replicated template: one value per copy for
+// the element-wise layers, one row per copy for softmax (every head's rows)
+// and LayerNorm.
 #pragma once
 
 #include <memory>

@@ -424,18 +424,6 @@ std::vector<bool> ProtocolContext::ring_bits(const MatI& m) const {
   return bits;
 }
 
-std::vector<bool> ProtocolContext::ring_bits_row(const MatI& m,
-                                                 std::size_t row) const {
-  const std::size_t w = share_bits();
-  std::vector<bool> bits;
-  bits.reserve(m.cols() * w);
-  for (std::size_t c = 0; c < m.cols(); ++c) {
-    const auto v = static_cast<std::uint64_t>(m(row, c));
-    for (std::size_t b = 0; b < w; ++b) bits.push_back((v >> b) & 1);
-  }
-  return bits;
-}
-
 MatI ProtocolContext::bits_to_ring(const std::vector<bool>& bits,
                                    std::size_t rows, std::size_t cols) const {
   const std::size_t w = share_bits();

@@ -156,7 +156,6 @@ class ProtocolContext {
 
   // Bit marshalling between ring matrices and GC input bit vectors.
   std::vector<bool> ring_bits(const MatI& m) const;
-  std::vector<bool> ring_bits_row(const MatI& m, std::size_t row) const;
   MatI bits_to_ring(const std::vector<bool>& bits, std::size_t rows,
                     std::size_t cols) const;
 
@@ -167,7 +166,9 @@ class ProtocolContext {
   std::uint64_t handshake_bytes_ = 0;
 };
 
-// One garbled-circuit protocol stage with offline/online cost attribution.
+// One garbled-circuit protocol stage with offline/online cost attribution:
+// one whole nonlinear layer (every value, or every row of a softmax or
+// LayerNorm), so one base-OT setup and one online exchange per layer.
 // The circuit is borrowed: a ReplicatedCircuit shares ownership of an
 // immutable, already-layered template (usually from the model's
 // CircuitCache), so a stage never builds, layers or copies a circuit.

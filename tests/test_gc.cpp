@@ -617,6 +617,83 @@ TEST(GcSession, ReplicatedSessionMatchesMonolithic) {
   EXPECT_EQ(rep_bytes, mono_bytes);
 }
 
+// Softmax and LayerNorm run as one stage per layer: the one-row circuit is
+// a template replicated once per row, its input buses the segments (softmax
+// 3: garbler scores, evaluator scores, masks; LayerNorm 5: garbler acc and
+// residual, evaluator acc and residual, masks).  On every kernel tier and
+// thread count, the bits a GcSession reveals for copy r must equal the
+// one-row circuit evaluated in plain on row r's segment-mapped inputs.
+TEST(GcSession, RowTemplatesMatchPerRowPlainEval) {
+  struct Restore {
+    const char* tier = std::getenv("PRIMER_GC_KERNEL");
+    std::string saved = tier != nullptr ? tier : "";
+    std::size_t threads = num_threads();
+    ~Restore() {
+      if (tier != nullptr) {
+        setenv("PRIMER_GC_KERNEL", saved.c_str(), 1);
+      } else {
+        unsetenv("PRIMER_GC_KERNEL");
+      }
+      set_num_threads(threads);
+    }
+  } restore;
+  std::vector<std::string> tiers = {"sse"};
+  setenv("PRIMER_GC_KERNEL", "vaes", 1);
+  if (std::string(gc_kernel_name()) == "vaes") tiers.push_back("vaes");
+
+  struct Case {
+    std::string name;
+    std::size_t copies;
+    std::size_t segments;
+    std::size_t garbler_segments;
+  };
+  const auto suite = fixed_circuit_suite(4);
+  for (const Case& c : {Case{"softmax", 8, 3, 1}, Case{"layernorm", 4, 5, 2}}) {
+    SCOPED_TRACE(c.name);
+    const Circuit* row = nullptr;
+    for (const auto& [name, circ] : suite) {
+      if (name == c.name) row = &circ;
+    }
+    ASSERT_NE(row, nullptr);
+    const ReplicatedCircuit rep(row->layered(), c.copies, c.segments);
+    const std::size_t seg =
+        static_cast<std::size_t>(row->num_inputs) / c.segments;
+    ASSERT_EQ(seg * c.segments, static_cast<std::size_t>(row->num_inputs));
+
+    Rng in_rng(2718);
+    std::vector<bool> in(rep.num_inputs());
+    for (std::size_t i = 0; i < in.size(); ++i) in[i] = in_rng.next() & 1;
+    std::vector<bool> want;
+    for (std::size_t r = 0; r < c.copies; ++r) {
+      std::vector<bool> row_in;
+      for (std::size_t s = 0; s < c.segments; ++s) {
+        const auto from = in.begin() + (s * c.copies + r) * seg;
+        row_in.insert(row_in.end(), from, from + seg);
+      }
+      const auto out = eval_circuit(*row, row_in);
+      want.insert(want.end(), out.begin(), out.end());
+    }
+    const auto split = in.begin() + c.garbler_segments * c.copies * seg;
+    const std::vector<bool> gbits(in.begin(), split);
+    const std::vector<bool> ebits(split, in.end());
+
+    for (const std::string& tier : tiers) {
+      setenv("PRIMER_GC_KERNEL", tier.c_str(), 1);
+      for (const std::size_t threads : {1, 4}) {
+        SCOPED_TRACE(tier + " threads " + std::to_string(threads));
+        set_num_threads(threads);
+        Channel ch;
+        FramedChannel fch(ch, FaultSpec{}, RetryPolicy{});
+        Rng rng(5);
+        GcSession session(fch, rng);
+        session.offline(rep, RevealTo::kGarbler);
+        EXPECT_EQ(session.online(gbits, ebits), want);
+        EXPECT_EQ(session.stats().and_gates, c.copies * row->and_count());
+      }
+    }
+  }
+}
+
 TEST(PackBits, RoundTrip) {
   const std::vector<bool> bits = {1, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1};
   EXPECT_EQ(unpack_bits(pack_bits(bits), bits.size()), bits);

@@ -232,6 +232,10 @@ class PrimerE2E : public ::testing::Test {
     const auto cfg = bert_nano();
     return quantize(BertWeightsD::random(cfg, rng));
   }
+  static BertWeightsI micro_weights() {
+    Rng rng(2026);
+    return quantize(BertWeightsD::random(bert_micro(), rng));
+  }
 };
 
 TEST_F(PrimerE2E, PrimerFMatchesFixedModelExactly) {
@@ -286,6 +290,46 @@ TEST_F(PrimerE2E, PrimerBaseMatchesFixedModelExactly) {
   EXPECT_EQ(result.logits, ref.forward(tokens));
   // Base has no offline phase at all.
   EXPECT_EQ(result.costs.phase_total("offline").total_seconds(), 0.0);
+  const PhaseCost total = result.costs.total();
+  EXPECT_EQ(total.bytes_sent, result.total_bytes);
+  EXPECT_EQ(total.rounds, result.rounds);
+  EXPECT_EQ(total.gc_and_gates, result.gc_and_gates);
+}
+
+// bert_micro runs two blocks (4 heads, 8 tokens): block 1 takes block 0's
+// output shares, and under CHGS merges its Q/K projections through the
+// identity embedding over the block input.
+TEST_F(PrimerE2E, PrimerFMultiBlockMatchesFixedModelExactly) {
+  const auto w = micro_weights();
+  const FixedBert ref(w);
+  const std::vector<std::size_t> tokens = {3, 17, 9, 28, 60, 0, 41, 12};
+  PrimerEngine engine(w, PrimerVariant::kF);
+  const auto result = engine.run(tokens);
+  EXPECT_EQ(result.logits, ref.forward(tokens));
+  EXPECT_EQ(result.predicted, ref.predict(tokens));
+
+  // One softmax stage per block covers every head's rows, so its online
+  // rounds per block do not grow with heads x tokens (2 x 4 rows on nano,
+  // 4 x 8 on micro).
+  const auto nano = nano_weights();
+  const auto nano_result =
+      PrimerEngine(nano, PrimerVariant::kF).run({3, 17, 9, 28});
+  auto softmax_rounds_per_block = [](const PrimerRunResult& r,
+                                     const BertWeightsI& weights) {
+    return r.costs.all().at("online").at("softmax").rounds /
+           weights.config.blocks;
+  };
+  EXPECT_GT(softmax_rounds_per_block(nano_result, nano), 0u);
+  EXPECT_EQ(softmax_rounds_per_block(result, w),
+            softmax_rounds_per_block(nano_result, nano));
+}
+
+TEST_F(PrimerE2E, PrimerFpcMultiBlockMatchesChgsReference) {
+  const auto w = micro_weights();
+  const std::vector<std::size_t> tokens = {5, 12, 30, 2, 63, 8, 8, 21};
+  PrimerEngine engine(w, PrimerVariant::kFPC);
+  const auto result = engine.run(tokens);
+  EXPECT_EQ(result.logits, fixed_forward_chgs(w, tokens));
   const PhaseCost total = result.costs.total();
   EXPECT_EQ(total.bytes_sent, result.total_bytes);
   EXPECT_EQ(total.rounds, result.rounds);
