@@ -12,7 +12,9 @@
 //             (garble_reference / eval_reference), the baseline the
 //             >=3x single-thread throughput gate measures against.
 // ops_per_s in the JSON lines is AND gates per second, so the bench
-// trajectory gate tracks garbling throughput directly.
+// trajectory gate tracks garbling throughput directly.  Each record also
+// carries the circuit's and_gates and AND-depth levels: a throughput
+// change between two commits is only comparable when these match.
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -59,11 +61,12 @@ Options parse_args(int argc, char** argv) {
   return opt;
 }
 
-// Runs `op` until min_time elapses; each call to `op` completes
-// `ops_per_iter` AND gates, so ops_per_s is gates per second.
+// Runs `op` until min_time elapses; each call to `op` garbles or evaluates
+// `circ` once, so ops_per_s is AND gates per second.
 void run_bench(const char* name, const std::string& label, const char* kernel,
-               std::size_t threads, std::size_t ops_per_iter,
+               std::size_t threads, const CircuitLayers& circ,
                const Options& opt, const std::function<void()>& op) {
+  const std::size_t ops_per_iter = circ.and_count;
   op();  // warm-up (circuit layering cache, allocator)
   std::uint64_t iters = 0;
   CpuWallTimer timer;
@@ -85,9 +88,10 @@ void run_bench(const char* name, const std::string& label, const char* kernel,
   }
   std::printf(
       "JSON {\"bench\":\"%s\",\"label\":\"%s\",\"kernel\":\"%s\","
-      "\"threads\":%zu,\"iters\":%llu,\"wall_s\":%.6f,\"cpu_s\":%.6f,"
-      "\"wall_s_per_op\":%.9f,\"ops_per_s\":%.3f}\n",
-      name, label.c_str(), kernel, threads,
+      "\"threads\":%zu,\"and_gates\":%zu,\"levels\":%zu,\"iters\":%llu,"
+      "\"wall_s\":%.6f,\"cpu_s\":%.6f,\"wall_s_per_op\":%.9f,"
+      "\"ops_per_s\":%.3f}\n",
+      name, label.c_str(), kernel, threads, ops_per_iter, circ.levels.size(),
       static_cast<unsigned long long>(iters), wall, cpu, per_op,
       per_op > 0 ? 1.0 / per_op : 0.0);
 }
@@ -102,8 +106,8 @@ int main(int argc, char** argv) {
     const std::size_t n = opt.threads[ti];
     set_num_threads(n);
     for (const auto& [name, circ] : suite) {
-      const std::size_t ands = circ.layers().and_count;
-      if (ands == 0) continue;
+      const CircuitLayers& lay = circ.layers();
+      if (lay.and_count == 0) continue;
 
       // Pre-garble once (fixed seed) so the eval benches measure evaluation
       // only; active labels come from random input bits.
@@ -116,22 +120,22 @@ int main(int argc, char** argv) {
         active[i] = Garbler::active_input(gc, i, in_rng.next() & 1);
       }
 
-      run_bench("gc_garble", name, "batched", n, ands, opt, [&] {
+      run_bench("gc_garble", name, "batched", n, lay, opt, [&] {
         Rng rng(404);
         Garbler g(rng);
         (void)g.garble(circ);
       });
-      run_bench("gc_eval", name, "batched", n, ands, opt, [&] {
+      run_bench("gc_eval", name, "batched", n, lay, opt, [&] {
         (void)GcEvaluator::eval(circ, gc.table, active);
       });
 
       // Reference serial paths: thread-independent, bench once.
       if (ti == 0) {
-        run_bench("gc_garble_ref", name, "scalar", 1, ands, opt, [&] {
+        run_bench("gc_garble_ref", name, "scalar", 1, lay, opt, [&] {
           Rng rng(404);
           (void)garble_reference(circ, rng);
         });
-        run_bench("gc_eval_ref", name, "scalar", 1, ands, opt, [&] {
+        run_bench("gc_eval_ref", name, "scalar", 1, lay, opt, [&] {
           (void)eval_reference(circ, gc.table, active);
         });
       }

@@ -11,6 +11,23 @@
 // Input layout of every generated circuit:
 //   [ garbler shares | evaluator shares | evaluator masks Rc ]
 // Output: (F(x) - Rc) mod t, revealed to the garbler (server).
+//
+// Width contract.  Only the share buses (inputs, masks, outputs) are
+// share_width(t) bits.  Every intermediate bus is exactly as wide as the
+// value range it is proven to carry, and the range travels with the bus
+// through the builder code:
+//   - from the share modulus: a reconstructed value lies in (-t/2, t/2];
+//   - from the value format: a saturated value lies in the
+//     fmt.total_bits-bit range, so it leaves the clamp as a 15-bit bus;
+//   - from arithmetic: sums, differences and products take the interval
+//     of their operands, truncation shifts it, a row max or a mean stays
+//     in its inputs' range;
+//   - from the tables: a PWL output's range comes from evaluating the
+//     segment endpoints of its table at build time.
+// Arithmetic runs modulo 2^width of the result range, which is exact since
+// the true result fits.  A range of one sign has a constant sign wire that
+// the builder folds away.  The helpers below take a caller's bus as
+// carrying any value of its width and return the minimal-width result.
 #pragma once
 
 #include <cstdint>
@@ -30,29 +47,21 @@ struct SignedBus {
 
 // Helpers exposed for testing --------------------------------------------
 
-// (share_a + share_b) mod t -> centered two's-complement value, width
-// share_width(t) + 1.
+// (share_a + share_b) mod t -> centered two's-complement value in
+// (-t/2, t/2], width share_width(t).
 SignedBus reconstruct_centered(CircuitBuilder& b, const Bus& sa, const Bus& sb,
                                std::uint64_t t);
 
-// Signed value -> residue mod t in [0, t).
+// Signed value in (-t, t) -> residue mod t in [0, t), share_width(t) bits.
 Bus embed_mod_t(CircuitBuilder& b, const SignedBus& v, std::uint64_t t);
-
-// Arithmetic shift right (fixed-point truncation after multiplications).
-SignedBus truncate_frac(CircuitBuilder& b, const SignedBus& v,
-                        std::size_t frac_bits);
-
-// max(v, 0).
-SignedBus relu_signed(CircuitBuilder& b, const SignedBus& v);
-
-// Signed max of two values.
-SignedBus max_signed(CircuitBuilder& b, const SignedBus& x,
-                     const SignedBus& y);
 
 // Piecewise-linear fixed-point approximation of f over [lo, hi] with 2^k
 // equal segments; input/output in the given fixed-point format.  Used for
-// exp (SoftMax) and GELU — the segment count is chosen so the PWL error is
-// below one fixed-point ulp across the range.
+// exp (SoftMax), GELU and LayerNorm's 1/sqrt — the segment count is chosen
+// so the PWL error is below one fixed-point ulp across the range.  The
+// circuit clamps x into [lo, hi), selects the segment's constants from a
+// one-hot decode (free XORs) and returns a bus as wide as the table's
+// output range over that domain.
 struct PwlSpec {
   double lo = -8.0;
   double hi = 0.0;
@@ -129,9 +138,5 @@ struct LayerNormCircuitSpec {
 // Input layout: [garbler: acc shares (d), residual shares (d)]
 //               [evaluator: acc shares (d), residual shares (d), Rc (d)].
 Circuit make_layernorm_circuit(const LayerNormCircuitSpec& spec);
-
-// Signed truncating (toward zero) division by a constant — exposed for the
-// layer-norm circuit tests.
-SignedBus sdiv_const(CircuitBuilder& b, const SignedBus& v, std::uint64_t d);
 
 }  // namespace primer

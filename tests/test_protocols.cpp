@@ -272,6 +272,8 @@ TEST_F(PrimerE2E, PrimerFpcMatchesChgsReference) {
   EXPECT_EQ(total.bytes_sent, result.total_bytes);
   EXPECT_EQ(total.rounds, result.rounds);
   EXPECT_EQ(total.gc_and_gates, result.gc_and_gates);
+  // Width-minimal circuits: 360,891 ANDs (2,084,844 at share width).
+  EXPECT_LE(result.gc_and_gates, 1000000u);
   // The merged path should stay close to the standard fixed model.
   const FixedBert ref(w);
   const auto ref_logits = ref.forward(tokens);

@@ -337,6 +337,8 @@ struct CleanRun {
   BertWeightsI weights;
   std::vector<std::int64_t> ref_logits;
   PrimerRunResult result;  // unfaulted resilient run, checkpoints on
+  // 1-based wire frame that closes the first checkpoint (key_transfer).
+  std::uint64_t first_checkpoint_frame = 0;
 };
 
 // One shared unfaulted probe run (PrimerVariant::kFP, bert_nano).  Must be
@@ -349,6 +351,10 @@ const CleanRun& clean_run() {
     PrimerEngine engine(c.weights, PrimerVariant::kFP);
     SessionStore store;
     c.result = run_with_restarts(engine, store);
+    if (const auto cp = store.load(Party::kClient, 1)) {
+      c.first_checkpoint_frame =
+          2 + cp->send_watermark[0] + cp->send_watermark[1];
+    }
     return c;
   }();
   return cr;
@@ -442,7 +448,12 @@ TEST(SessionResilience, SingleAttemptWithStoreRethrowsRetryable) {
 
 TEST(SessionResilience, StallTripsDeadlineThenResumes) {
   const CleanRun& c = clean_run();
-  const std::uint64_t stall_at = c.result.frames_sent / 3;
+  // A third of the way from the first checkpoint to the last frame, so the
+  // restart has a real checkpoint to resume from whatever the table sizes.
+  ASSERT_GT(c.first_checkpoint_frame, 0u);
+  const std::uint64_t stall_at =
+      c.first_checkpoint_frame +
+      (c.result.frames_sent - c.first_checkpoint_frame) / 3;
   // A 300-simulated-second stall against a 60 s phase budget trips the
   // deadline deterministically at that exact frame, on any host speed.
   EnvGuard env({{"PRIMER_FAULT_STALL_AFTER", std::to_string(stall_at)},
