@@ -25,6 +25,7 @@
 #include "common/fixed_point.h"
 #include "common/parallel.h"
 #include "common/timing.h"
+#include "he/codec.h"
 #include "he/encoder.h"
 #include "he/he.h"
 #include "net/channel.h"
@@ -121,8 +122,8 @@ struct HeFixture {
         enc(ctx, keygen.secret_key(), rng),
         dec(ctx, keygen.secret_key()),
         eval(ctx),
-        gk(keygen.make_galois_keys({1})),
-        rk(keygen.make_relin_key()) {
+        gk(expand_keys(ctx, keygen.make_galois_keys({1}))),
+        rk(expand_keys(ctx, keygen.make_relin_key())) {
     std::vector<u64> vals(encoder.slot_count());
     rng.fill_uniform_mod(vals, ctx.t());
     pt = encoder.encode(vals);
@@ -291,7 +292,7 @@ void bench_keyswitch(std::size_t threads, const Options& opt) {
   const BatchEncoder encoder(ctx);
   const Encryptor enc(ctx, keygen.secret_key(), rng);
   const Evaluator eval(ctx);
-  const RelinKey rk = keygen.make_relin_key();
+  const RelinKey rk = expand_keys(ctx, keygen.make_relin_key());
   const char* kernel = ctx.kernel_name();
   const std::size_t k = ctx.rns_size();
   const std::size_t n = ctx.degree();
@@ -315,7 +316,7 @@ void bench_keyswitch(std::size_t threads, const Options& opt) {
   // path versus the hoisted set sharing one digit decomposition.
   std::vector<int> steps;
   for (int s = 1; s <= 8; ++s) steps.push_back(s);
-  const GaloisKeys gk = keygen.make_galois_keys(steps);
+  const GaloisKeys gk = expand_keys(ctx, keygen.make_galois_keys(steps));
   std::vector<u64> vals(encoder.slot_count());
   rng.fill_uniform_mod(vals, ctx.t());
   const Ciphertext ct = enc.encrypt(encoder.encode(vals));
@@ -343,11 +344,11 @@ void bench_packed_matmul(std::size_t threads, const Options& opt) {
   const std::size_t tokens = 8, d_in = 64, d_out = 32;
   PackedMatmul mm(ctx, encoder, eval, PackingStrategy::kTokensFirst);
   const GaloisKeys gk =
-      keygen.make_galois_keys(mm.rotation_steps(tokens));
+      expand_keys(ctx, keygen.make_galois_keys(mm.rotation_steps(tokens)));
   const ShareRing ring(ctx.t());
   const MatI x = ring.random(rng, tokens, d_in);
   const MatI w = random_fp_matrix(rng, d_in, d_out, -1.0, 1.0);
-  const auto packed = mm.encrypt_input(x, enc);
+  const auto packed = drop_seeds(mm.encrypt_input(x, enc));
   run_bench("packed_matmul", "tf 8x64x32", kernel, threads, opt, [&] {
     const auto out = mm.multiply(packed, w, tokens, ctx.t(), gk, nullptr);
     (void)out;
@@ -393,7 +394,7 @@ void bench_he(HeFixture& f, const char* label, std::size_t threads,
 // end-to-end ratio stays under 2%.
 void bench_framing(HeFixture& f, const char* label, const Options& opt) {
   ByteWriter w;
-  f.eval.serialize(f.ct, w);
+  write_ciphertext(f.ctx, f.ct, w);
   const std::vector<std::uint8_t> payload = w.take();
 
   const auto time_loop = [&](const std::function<void()>& op) {

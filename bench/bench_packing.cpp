@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
     const PackedMatmul mm(ctx, encoder, eval, strategy);
     for (const int s : mm.rotation_steps(8)) gk_steps.push_back(s);
   }
-  const auto gk = keygen.make_galois_keys(gk_steps);
+  const auto gk = expand_keys(ctx, keygen.make_galois_keys(gk_steps));
   const ShareRing ring(ctx.t());
 
   std::printf("%-16s %8s %10s %10s %10s %10s %9s\n", "strategy", "threads",
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
       const MatI x = ring.random(data_rng, 8, 64);
       const MatI w = random_fp_matrix(data_rng, 64, 16, -1.0, 1.0);
       PackedMatmul mm(ctx, encoder, eval, strategy);
-      const auto packed = mm.encrypt_input(x, enc);
+      const auto packed = drop_seeds(mm.encrypt_input(x, enc));
       PackedMatmulStats stats;
       CpuWallTimer timer;
       const auto result = mm.multiply(packed, w, 8, ctx.t(), gk, &stats);

@@ -30,7 +30,7 @@ int main() {
     const PackedMatmul mm(ctx, encoder, eval, strategy);
     for (const int s : mm.rotation_steps(n)) steps.push_back(s);
   }
-  const auto gk = keygen.make_galois_keys(steps);
+  const auto gk = expand_keys(ctx, keygen.make_galois_keys(steps));
   const MatI x = ring.random(rng, n, d_in);
   const MatI w = random_fp_matrix(rng, d_in, d_out, -1.0, 1.0);
   std::printf("Encrypted matmul: %zu tokens x %zu features -> %zu outputs\n\n",
@@ -41,7 +41,7 @@ int main() {
     const auto strategy = which == 0 ? PackingStrategy::kFeatureBased
                                      : PackingStrategy::kTokensFirst;
     PackedMatmul mm(ctx, encoder, eval, strategy);
-    const auto packed = mm.encrypt_input(x, enc);
+    const auto packed = drop_seeds(mm.encrypt_input(x, enc));
     PackedMatmulStats stats;
     Stopwatch sw;
     const auto out = mm.multiply(packed, w, n, ctx.t(), gk, &stats);

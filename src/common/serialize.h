@@ -38,6 +38,14 @@ class ByteWriter {
     if (!v.empty()) append(v.data(), v.size() * sizeof(std::int64_t));
   }
 
+  // Appends n zero bytes and returns a pointer to them, for encoders that
+  // fill a fixed-size region in place (valid until the next append).
+  std::uint8_t* extend(std::size_t n) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    return buf_.data() + at;
+  }
+
   const std::vector<std::uint8_t>& data() const { return buf_; }
   std::size_t size() const { return buf_.size(); }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
@@ -120,6 +128,18 @@ class ByteReader {
   void skip(std::size_t n) {
     check(n);
     pos_ += n;
+  }
+
+  // The next n bytes in place, without advancing (peek) or advancing past
+  // them (view).  Valid while the underlying buffer lives.
+  const std::uint8_t* peek(std::size_t n) const {
+    check(n);
+    return buf_.data() + pos_;
+  }
+  const std::uint8_t* view(std::size_t n) {
+    const std::uint8_t* p = peek(n);
+    pos_ += n;
+    return p;
   }
 
  private:

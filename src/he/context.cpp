@@ -135,14 +135,6 @@ void HeContext::scalar_multiply_inplace(RnsPoly& a, u64 scalar) const {
   }
 }
 
-RnsPoly HeContext::sample_uniform(Rng& rng) const {
-  RnsPoly out(rns_size(), degree(), false);
-  for (std::size_t i = 0; i < rns_size(); ++i) {
-    rng.fill_uniform_mod(out.limb(i), degree(), params_.q[i]);
-  }
-  return out;
-}
-
 RnsPoly HeContext::sample_error(Rng& rng) const {
   std::vector<i64> e(degree());
   for (auto& v : e) v = rng.cbd(params_.noise_eta);

@@ -53,8 +53,7 @@ class HeContext {
   // Multiply by a scalar (same scalar reduced per prime).
   void scalar_multiply_inplace(RnsPoly& a, u64 scalar) const;
 
-  // --- sampling -----------------------------------------------------------
-  RnsPoly sample_uniform(Rng& rng) const;         // uniform in R_q, coeff form
+  // --- sampling (uniform polynomials expand from seeds: he/codec.h) -------
   RnsPoly sample_error(Rng& rng) const;           // CBD(eta), coeff form
   RnsPoly sample_ternary(Rng& rng) const;         // uniform {-1,0,1}, coeff form
 

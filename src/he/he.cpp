@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/parallel.h"
+#include "he/codec.h"
 
 namespace primer {
 
@@ -21,8 +22,7 @@ KeyGenerator::KeyGenerator(const HeContext& ctx, Rng& rng)
 
 PublicKey KeyGenerator::make_public_key() {
   PublicKey pk;
-  RnsPoly a = ctx_.sample_uniform(rng_);
-  ctx_.to_ntt(a);
+  RnsPoly a = expand_uniform(ctx_, draw_seed(rng_));
   RnsPoly e = ctx_.sample_error(rng_);
   ctx_.to_ntt(e);
   ctx_.scalar_multiply_inplace(e, ctx_.t());
@@ -35,17 +35,18 @@ PublicKey KeyGenerator::make_public_key() {
   return pk;
 }
 
-KSwitchKey KeyGenerator::make_kswitch_key(const RnsPoly& target_ntt,
-                                          std::uint32_t decomp_bits) {
+SeededKSwitchKey KeyGenerator::make_kswitch_key(const RnsPoly& target_ntt,
+                                                std::uint32_t decomp_bits) {
   // One key pair per gadget digit (i, d):
   //   b = -(a*s + t*e) + 2^{shift} * P_i * target
   // where P_i is 1 mod q_i and 0 mod q_j — so the target term touches only
-  // RNS component i, scaled by the digit's base power.
-  KSwitchKey key;
+  // RNS component i, scaled by the digit's base power.  a is expanded from
+  // a fresh seed, already in NTT form; only the seed is kept.
+  SeededKSwitchKey key;
   key.decomp_bits = decomp_bits;
   for (const auto& d : ctx_.decomp_layout(decomp_bits)) {
-    RnsPoly a = ctx_.sample_uniform(rng_);
-    ctx_.to_ntt(a);
+    const PolySeed seed = draw_seed(rng_);
+    const RnsPoly a = expand_uniform(ctx_, seed);
     RnsPoly e = ctx_.sample_error(rng_);
     ctx_.to_ntt(e);
     ctx_.scalar_multiply_inplace(e, ctx_.t());
@@ -59,10 +60,8 @@ KSwitchKey KeyGenerator::make_kswitch_key(const RnsPoly& target_ntt,
     for (std::size_t j = 0; j < ctx_.degree(); ++j) {
       bl[j] = add_mod(bl[j], mul_mod(scale, tl[j], qi), qi);
     }
-    key.b_shoup.push_back(shoup_table(b));
-    key.a_shoup.push_back(shoup_table(a));
-    key.a.push_back(std::move(a));
     key.b.push_back(std::move(b));
+    key.a_seeds.push_back(seed);
   }
   return key;
 }
@@ -70,35 +69,59 @@ KSwitchKey KeyGenerator::make_kswitch_key(const RnsPoly& target_ntt,
 RnsPoly compute_shoup_table(const HeContext& ctx, const RnsPoly& key_part) {
   RnsPoly out(key_part.rns_size(), key_part.degree(), key_part.ntt_form);
   for (std::size_t j = 0; j < key_part.rns_size(); ++j) {
-    const u64 qj = ctx.q(j);
     // The quotient scale follows the kernel set that will consume this
     // table in shoup_mul_acc_lazy2 (64-bit convention for scalar/avx2/
     // avx512, 52-bit for avx512ifma).
-    const unsigned shift = ctx.kernels(j).shoup_shift;
+    const ShoupQuotient quotient(ctx.q(j), ctx.kernels(j).shoup_shift);
     const u64* src = key_part.limb(j);
     u64* dst = out.limb(j);
     for (std::size_t x = 0; x < key_part.degree(); ++x) {
-      dst[x] = static_cast<u64>((static_cast<u128>(src[x]) << shift) / qj);
+      dst[x] = quotient(src[x]);
     }
   }
   return out;
 }
 
-RnsPoly KeyGenerator::shoup_table(const RnsPoly& key_part) const {
-  return compute_shoup_table(ctx_, key_part);
+KSwitchKey expand_key(const HeContext& ctx, SeededKSwitchKey key) {
+  const std::size_t digits = key.digits();
+  if (key.a_seeds.size() != digits) {
+    throw std::invalid_argument("expand_key: one seed per digit");
+  }
+  KSwitchKey out;
+  out.decomp_bits = key.decomp_bits;
+  out.a.resize(digits);
+  out.a_shoup.resize(digits);
+  out.b_shoup.resize(digits);
+  parallel_for(0, digits, [&](std::size_t i) {
+    out.a[i] = expand_uniform(ctx, key.a_seeds[i]);
+    out.a_shoup[i] = compute_shoup_table(ctx, out.a[i]);
+    out.b_shoup[i] = compute_shoup_table(ctx, key.b[i]);
+  });
+  out.b = std::move(key.b);
+  return out;
 }
 
-RelinKey KeyGenerator::make_relin_key() {
-  RelinKey rk;
+GaloisKeys expand_keys(const HeContext& ctx, const SeededGaloisKeys& keys) {
+  GaloisKeys out;
+  for (const auto& [elt, key] : keys.keys) {
+    out.keys.emplace(elt, expand_key(ctx, key));
+  }
+  return out;
+}
+
+RelinKey expand_keys(const HeContext& ctx, const SeededRelinKey& key) {
+  return RelinKey{expand_key(ctx, key.key)};
+}
+
+SeededRelinKey KeyGenerator::make_relin_key() {
   const RnsPoly s2 = ctx_.multiply(sk_.s, sk_.s);
   // Full-width CRT digits: relinearization follows a ciphertext multiply
   // whose noise already dwarfs the key-switch term, so the cheaper layout
   // (k digits instead of ~2k) wins.
-  rk.key = make_kswitch_key(s2, 0);
-  return rk;
+  return SeededRelinKey{make_kswitch_key(s2, 0)};
 }
 
-void KeyGenerator::add_galois_key(GaloisKeys& keys, u64 elt) {
+void KeyGenerator::add_galois_key(SeededGaloisKeys& keys, u64 elt) {
   if (keys.has(elt)) return;
   // Target key is s(x^elt).
   RnsPoly s_coeff = sk_.s;
@@ -112,9 +135,9 @@ void KeyGenerator::add_galois_key(GaloisKeys& keys, u64 elt) {
   keys.keys.emplace(elt, make_kswitch_key(s_gal, ctx_.galois_decomp_bits()));
 }
 
-GaloisKeys KeyGenerator::make_galois_keys(const std::vector<int>& steps,
-                                          bool include_row_swap) {
-  GaloisKeys gk;
+SeededGaloisKeys KeyGenerator::make_galois_keys(const std::vector<int>& steps,
+                                                bool include_row_swap) {
+  SeededGaloisKeys gk;
   for (int s : steps) add_galois_key(gk, ctx_.galois_elt_from_step(s));
   if (include_row_swap) add_galois_key(gk, ctx_.galois_elt_row_swap());
   return gk;
@@ -136,50 +159,66 @@ Ciphertext Encryptor::encrypt_zero() const {
   return encrypt(zero);
 }
 
-Ciphertext Encryptor::encrypt(const Plaintext& pt) const {
+std::vector<Ciphertext> drop_seeds(std::vector<SeededCiphertext> cts) {
+  std::vector<Ciphertext> out;
+  out.reserve(cts.size());
+  for (auto& ct : cts) out.push_back(std::move(ct).release());
+  return out;
+}
+
+SeededCiphertext Encryptor::encrypt_seeded(const Plaintext& pt) const {
+  if (sk_ == nullptr) {
+    throw std::logic_error(
+        "encrypt_seeded: only the secret-key encryptor seeds c1");
+  }
   ++counters_.encryptions;
   RnsPoly m = ctx_.lift_plaintext(pt);
   ctx_.to_ntt(m);
-
+  // c1 = a (uniform, expanded from the seed in NTT form),
+  // c0 = -(a*s) + t*e + m.
+  const PolySeed seed = draw_seed(rng_);
+  RnsPoly a = expand_uniform(ctx_, seed);
+  RnsPoly e = ctx_.sample_error(rng_);
+  ctx_.to_ntt(e);
+  ctx_.scalar_multiply_inplace(e, ctx_.t());
+  RnsPoly c0 = ctx_.multiply(a, sk_->s);
+  ctx_.negate_inplace(c0);
+  ctx_.add_inplace(c0, e);
+  ctx_.add_inplace(c0, m);
   Ciphertext ct;
-  if (sk_ != nullptr) {
-    // Symmetric: c1 = a (uniform), c0 = -(a*s) + t*e + m.
-    RnsPoly a = ctx_.sample_uniform(rng_);
-    ctx_.to_ntt(a);
-    RnsPoly e = ctx_.sample_error(rng_);
-    ctx_.to_ntt(e);
-    ctx_.scalar_multiply_inplace(e, ctx_.t());
-    RnsPoly c0 = ctx_.multiply(a, sk_->s);
-    ctx_.negate_inplace(c0);
-    ctx_.add_inplace(c0, e);
-    ctx_.add_inplace(c0, m);
-    ct.parts.push_back(std::move(c0));
-    ct.parts.push_back(std::move(a));
-    // |t*e| <= t * eta
-    ct.noise_log2 =
-        std::log2(static_cast<double>(ctx_.t())) + std::log2(4.0);
-  } else {
-    // Asymmetric: u ternary; c0 = b*u + t*e0 + m, c1 = a*u + t*e1.
-    RnsPoly u = ctx_.sample_ternary(rng_);
-    ctx_.to_ntt(u);
-    RnsPoly e0 = ctx_.sample_error(rng_);
-    ctx_.to_ntt(e0);
-    ctx_.scalar_multiply_inplace(e0, ctx_.t());
-    RnsPoly e1 = ctx_.sample_error(rng_);
-    ctx_.to_ntt(e1);
-    ctx_.scalar_multiply_inplace(e1, ctx_.t());
+  ct.parts.push_back(std::move(c0));
+  ct.parts.push_back(std::move(a));
+  // |t*e| <= t * eta
+  ct.noise_log2 = std::log2(static_cast<double>(ctx_.t())) + std::log2(4.0);
+  return SeededCiphertext(std::move(ct), seed);
+}
 
-    RnsPoly c0 = ctx_.multiply(pk_->b, u);
-    ctx_.add_inplace(c0, e0);
-    ctx_.add_inplace(c0, m);
-    RnsPoly c1 = ctx_.multiply(pk_->a, u);
-    ctx_.add_inplace(c1, e1);
-    ct.parts.push_back(std::move(c0));
-    ct.parts.push_back(std::move(c1));
-    // |t*(e_pk*u + e0 + e1*s)| ~ t * 2n * eta
-    ct.noise_log2 = std::log2(static_cast<double>(ctx_.t())) +
-                    std::log2(4.0 * static_cast<double>(ctx_.degree()));
-  }
+Ciphertext Encryptor::encrypt(const Plaintext& pt) const {
+  if (sk_ != nullptr) return encrypt_seeded(pt).release();
+  ++counters_.encryptions;
+  RnsPoly m = ctx_.lift_plaintext(pt);
+  ctx_.to_ntt(m);
+  // Asymmetric: u ternary; c0 = b*u + t*e0 + m, c1 = a*u + t*e1.
+  RnsPoly u = ctx_.sample_ternary(rng_);
+  ctx_.to_ntt(u);
+  RnsPoly e0 = ctx_.sample_error(rng_);
+  ctx_.to_ntt(e0);
+  ctx_.scalar_multiply_inplace(e0, ctx_.t());
+  RnsPoly e1 = ctx_.sample_error(rng_);
+  ctx_.to_ntt(e1);
+  ctx_.scalar_multiply_inplace(e1, ctx_.t());
+
+  RnsPoly c0 = ctx_.multiply(pk_->b, u);
+  ctx_.add_inplace(c0, e0);
+  ctx_.add_inplace(c0, m);
+  RnsPoly c1 = ctx_.multiply(pk_->a, u);
+  ctx_.add_inplace(c1, e1);
+  Ciphertext ct;
+  ct.parts.push_back(std::move(c0));
+  ct.parts.push_back(std::move(c1));
+  // |t*(e_pk*u + e0 + e1*s)| ~ t * 2n * eta
+  ct.noise_log2 = std::log2(static_cast<double>(ctx_.t())) +
+                  std::log2(4.0 * static_cast<double>(ctx_.degree()));
   return ct;
 }
 
@@ -733,55 +772,6 @@ void Evaluator::rotate_rows_inplace(Ciphertext& a, int step,
 void Evaluator::rotate_columns_inplace(Ciphertext& a,
                                        const GaloisKeys& gk) const {
   apply_galois_inplace(a, ctx_.galois_elt_row_swap(), gk);
-}
-
-void Evaluator::serialize(const Ciphertext& ct, ByteWriter& w) const {
-  w.u32(static_cast<std::uint32_t>(ct.parts.size()));
-  for (const auto& part : ct.parts) {
-    w.u8(part.ntt_form ? 1 : 0);
-    w.u32(static_cast<std::uint32_t>(part.rns_size()));
-    w.u64(part.degree());
-    // Limbs are one contiguous buffer — a single memcpy-sized append.
-    w.bytes(part.data(), part.word_count() * sizeof(u64));
-  }
-  w.f64(ct.noise_log2);
-}
-
-Ciphertext Evaluator::deserialize(ByteReader& r) const {
-  Ciphertext ct;
-  const auto parts = r.u32();
-  // Legitimate ciphertexts have 2 parts (3 transiently, pre-relin); the
-  // degree-bounded maximum any evaluator op can emit is 4.  Anything else
-  // is a corrupted or hostile stream.
-  if (parts < 1 || parts > 4) {
-    throw std::out_of_range("deserialize: ciphertext part count " +
-                            std::to_string(parts) + " outside [1, 4]");
-  }
-  for (std::uint32_t p = 0; p < parts; ++p) {
-    const bool ntt_form = r.u8() != 0;
-    const auto k = r.u32();
-    const auto n = r.u64();
-    // Exact-shape check: downstream kernels stream ctx-degree words through
-    // unchecked pointers, so an undersized polynomial from a hostile or
-    // corrupted stream must be rejected here, not discovered as an
-    // out-of-bounds write later.
-    if (k != ctx_.rns_size() || n != ctx_.degree()) {
-      throw std::out_of_range("deserialize: polynomial shape mismatch");
-    }
-    RnsPoly poly(k, static_cast<std::size_t>(n), ntt_form);
-    r.bytes(poly.data(), poly.word_count() * sizeof(u64));
-    ct.parts.push_back(std::move(poly));
-  }
-  ct.noise_log2 = r.f64();
-  // The noise estimate feeds the decrypt guard; a NaN/Inf or wildly
-  // out-of-range value from the wire would disarm it.
-  if (!std::isfinite(ct.noise_log2) || ct.noise_log2 < 0.0 ||
-      ct.noise_log2 > 2.0 * ctx_.params().log2_q()) {
-    throw std::out_of_range("deserialize: noise estimate " +
-                            std::to_string(ct.noise_log2) +
-                            " bits is not a sane value");
-  }
-  return ct;
 }
 
 }  // namespace primer

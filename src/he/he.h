@@ -14,7 +14,6 @@
 
 #include "common/arena.h"
 #include "common/rng.h"
-#include "common/serialize.h"
 #include "he/context.h"
 #include "he/keys.h"
 #include "he/rns_poly.h"
@@ -73,20 +72,21 @@ class KeyGenerator {
 
   const SecretKey& secret_key() const { return sk_; }
   PublicKey make_public_key();
-  RelinKey make_relin_key();
+  // Switching keys come out seeded — the form the wire carries; expand_keys
+  // turns them into evaluation keys on whichever party evaluates.
+  SeededRelinKey make_relin_key();
   // Keys for the given rotation steps (plus the row swap if requested).
-  GaloisKeys make_galois_keys(const std::vector<int>& steps,
-                              bool include_row_swap = false);
+  SeededGaloisKeys make_galois_keys(const std::vector<int>& steps,
+                                    bool include_row_swap = false);
   // Key for one explicit Galois element.
-  void add_galois_key(GaloisKeys& keys, u64 elt);
+  void add_galois_key(SeededGaloisKeys& keys, u64 elt);
 
  private:
   // Switching key for `target_ntt` under base-2^decomp_bits sub-digits
-  // (0 = one full-width digit per RNS limb; see keys.h).
-  KSwitchKey make_kswitch_key(const RnsPoly& target_ntt,
-                              std::uint32_t decomp_bits);
-  // Elementwise Shoup quotients of a key polynomial (per-limb modulus).
-  RnsPoly shoup_table(const RnsPoly& key_part) const;
+  // (0 = one full-width digit per RNS limb; see keys.h).  Each digit's a
+  // is expanded from a seed drawn from the generator's Rng.
+  SeededKSwitchKey make_kswitch_key(const RnsPoly& target_ntt,
+                                    std::uint32_t decomp_bits);
 
   const HeContext& ctx_;
   Rng& rng_;
@@ -94,11 +94,40 @@ class KeyGenerator {
 };
 
 // Elementwise Shoup quotients floor(elem << shoup_shift / q_j) of a key
-// polynomial.  Depends only on the public modulus chain, so key material
-// shipped over the wire (see ProtocolContext::transfer_keys) carries just
-// the (b, a) pairs and the receiver recomputes its quotient tables with
-// this — bit-identical to the generator's, since it is the same code.
+// polynomial, in the convention of the kernel set that consumes them.
+// Depends only on the public modulus chain.
 RnsPoly compute_shoup_table(const HeContext& ctx, const RnsPoly& key_part);
+
+// The one path from a seeded switching key to an evaluation key: expands
+// every digit's a from its seed and builds both quotient tables.  The
+// receiver of a key transfer and every local caller go through it.
+KSwitchKey expand_key(const HeContext& ctx, SeededKSwitchKey key);
+GaloisKeys expand_keys(const HeContext& ctx, const SeededGaloisKeys& keys);
+RelinKey expand_keys(const HeContext& ctx, const SeededRelinKey& key);
+
+// A fresh symmetric encryption whose c1 is the uniform polynomial expanded
+// from c1_seed() — the form that ships as packed c0 plus 16 bytes.  Only
+// Encryptor makes one, and it is immutable, so the seed always matches c1:
+// a ciphertext that an Evaluator op has touched is a plain Ciphertext and
+// ships both parts.
+class SeededCiphertext {
+ public:
+  const Ciphertext& ct() const { return ct_; }
+  const PolySeed& c1_seed() const { return seed_; }
+  // Drops the seed: the ciphertext for local evaluation.
+  Ciphertext release() && { return std::move(ct_); }
+
+ private:
+  friend class Encryptor;
+  SeededCiphertext(Ciphertext ct, const PolySeed& seed)
+      : ct_(std::move(ct)), seed_(seed) {}
+
+  Ciphertext ct_;
+  PolySeed seed_;
+};
+
+// The ciphertexts of a seeded batch, for local evaluation.
+std::vector<Ciphertext> drop_seeds(std::vector<SeededCiphertext> cts);
 
 class Encryptor {
  public:
@@ -111,6 +140,10 @@ class Encryptor {
 
   Ciphertext encrypt(const Plaintext& pt) const;
   Ciphertext encrypt_zero() const;
+  // Symmetric encryption in the seeded wire form (the secret-key encryptor
+  // only; throws std::logic_error on a public-key one).  encrypt() on a
+  // symmetric encryptor returns this ciphertext without its seed.
+  SeededCiphertext encrypt_seeded(const Plaintext& pt) const;
 
   HeOpCounters& counters() const { return counters_; }
 
@@ -289,10 +322,6 @@ class Evaluator {
                           const GaloisKeys& gk) const;
   // Galois-key steps rotate_sum_inplace(width) needs.
   static std::vector<int> rotate_sum_steps(std::size_t width);
-
-  // Serialization (for channel byte accounting).
-  void serialize(const Ciphertext& ct, ByteWriter& w) const;
-  Ciphertext deserialize(ByteReader& r) const;
 
   // Key-switches polynomial c (either domain; NTT form is cheaper — see
   // HoistedKeySwitch) w.r.t. key, accumulating the result (NTT form) into

@@ -17,6 +17,7 @@
 // the plaintext multiplications BSGS matmuls apply AFTER rotating.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -24,6 +25,10 @@
 #include "he/rns_poly.h"
 
 namespace primer {
+
+// 16-byte seed a uniform NTT-form polynomial expands from (he/codec.h,
+// expand_uniform).  Drawn from the owning party's Rng.
+using PolySeed = std::array<std::uint8_t, 16>;
 
 struct SecretKey {
   RnsPoly s;  // NTT form
@@ -43,9 +48,9 @@ struct KSwitchKey {
   // Elementwise Shoup quotients floor(elem * 2^shift / q_j) of b / a, where
   // shift is the consuming kernel set's shoup_shift (64 for scalar/avx2/
   // avx512, 52 for avx512ifma) — the key limbs are the fixed operand of
-  // every key-switch product, so the quotients are precomputed once at
-  // keygen and the hot loop accumulates division-free products in [0, 2p)
-  // (kernel shoup_mul_acc_lazy2).
+  // every key-switch product, so the quotients are precomputed once, when
+  // the key is expanded (expand_key), and the hot loop accumulates
+  // division-free products in [0, 2p) (kernel shoup_mul_acc_lazy2).
   std::vector<RnsPoly> b_shoup;
   std::vector<RnsPoly> a_shoup;
   // Sub-digit width this key was generated for (0 = one digit per limb).
@@ -67,6 +72,28 @@ struct RelinKey {
 struct GaloisKeys {
   // Galois element -> key switching s(x^elt) -> s(x).
   std::map<u64, KSwitchKey> keys;
+
+  bool has(u64 elt) const { return keys.count(elt) != 0; }
+};
+
+// A switching key as the key generator makes it and the wire carries it:
+// per gadget digit the b polynomial and the seed its uniform a expands
+// from.  expand_key (he/he.h) turns it into a KSwitchKey — a and both
+// quotient tables — on the party that evaluates with it.
+struct SeededKSwitchKey {
+  std::vector<RnsPoly> b;
+  std::vector<PolySeed> a_seeds;
+  std::uint32_t decomp_bits = 0;
+
+  std::size_t digits() const { return b.size(); }
+};
+
+struct SeededRelinKey {
+  SeededKSwitchKey key;
+};
+
+struct SeededGaloisKeys {
+  std::map<u64, SeededKSwitchKey> keys;
 
   bool has(u64 elt) const { return keys.count(elt) != 0; }
 };

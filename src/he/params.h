@@ -52,11 +52,6 @@ struct HeParams {
   std::size_t slot_count() const { return poly_degree; }
 
   double log2_q() const;
-
-  // Bytes of one freshly serialized ciphertext (2 polynomials, RNS form).
-  std::size_t ciphertext_bytes() const {
-    return 2 * q.size() * poly_degree * sizeof(std::uint64_t);
-  }
 };
 
 HeParams make_params(HeProfile profile);

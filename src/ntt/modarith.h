@@ -119,6 +119,40 @@ class Barrett {
   u64 ratio_lo_ = 0;  // low ratio word — consumed by barrett_reduce128
 };
 
+// Division-free Shoup quotients: q(x) = floor(x * 2^shift / p) for any
+// x < p, where p is odd and shift <= 64 (the kernels use 64 and 52).  With
+// the reciprocal R = floor(2^(64+shift) / p), split as R_hi * 2^64 + R_lo,
+// the estimate floor(x * R / 2^64) = x * R_hi + mulhi(x, R_lo) undershoots
+// the exact quotient by at most one (R drops less than 1, and x < 2^64), so
+// one conditional increment finishes.  The remainder x * 2^shift - q * p
+// lies in [0, 2p), so its low 64 bits are exact under wrap-around.  One
+// division per modulus instead of one per element.
+class ShoupQuotient {
+ public:
+  ShoupQuotient(u64 p, unsigned shift) : p_(p), shift_(shift) {
+    // 2^128 / p for shift 64: p is odd, so floor((2^128 - 1) / p) is the
+    // same value and fits u128.
+    const u128 r = shift >= 64 ? ~static_cast<u128>(0) / p
+                               : (static_cast<u128>(1) << (64 + shift)) / p;
+    r_hi_ = static_cast<u64>(r >> 64);
+    r_lo_ = static_cast<u64>(r);
+  }
+
+  u64 operator()(u64 x) const {
+    u64 q = x * r_hi_ +
+            static_cast<u64>((static_cast<u128>(x) * r_lo_) >> 64);
+    const u64 scaled = shift_ >= 64 ? 0 : x << shift_;
+    if (scaled - q * p_ >= p_) ++q;
+    return q;
+  }
+
+ private:
+  u64 p_;
+  unsigned shift_;
+  u64 r_hi_ = 0;
+  u64 r_lo_ = 0;
+};
+
 // Shoup precomputed-quotient multiplication: for a fixed operand w modulo m,
 // mul_shoup(x) computes w*x mod m with one 64x64 high-half multiply and one
 // subtraction.  This is the standard trick that makes software NTTs fast

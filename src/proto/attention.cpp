@@ -53,9 +53,9 @@ void FhgsProduct::offline(const std::string& step_name, const MatI& ra,
     auto enc_rbt = mm_bt_.encrypt_input(transpose_ring(rb_red), pc_.enc);
     const MatI rarb = pc_.ring.mul(ra_red, rb_red);
     const auto rarb_slots = output_layout_slots(pc_.encoder, rarb);
-    std::vector<Ciphertext> enc_rarb;
+    std::vector<SeededCiphertext> enc_rarb;
     for (const auto& s : rarb_slots) {
-      enc_rarb.push_back(pc_.enc.encrypt(pc_.encoder.encode(s)));
+      enc_rarb.push_back(pc_.enc.encrypt_seeded(pc_.encoder.encode(s)));
     }
     pc_.send_cts(Party::kClient, enc_ra);
     pc_.send_cts(Party::kClient, enc_rbt);
@@ -131,20 +131,20 @@ LinearShares CtCtProduct::online(const std::string& step_name, const MatI& ac,
     auto enc_bct = mm_bt_.encrypt_input(transpose_ring(bc_red), pc_.enc);
     // Ac*Bc ct-ct term: client packs rows of Ac and columns of Bc as
     // individual ciphertexts (k slots each).
-    std::vector<Ciphertext> row_cts, col_cts;
+    std::vector<SeededCiphertext> row_cts, col_cts;
     for (std::size_t i = 0; i < n_; ++i) {
       std::vector<u64> slots(k_);
       for (std::size_t j = 0; j < k_; ++j) {
         slots[j] = static_cast<u64>(ac_red(i, j));
       }
-      row_cts.push_back(pc_.enc.encrypt(pc_.encoder.encode(slots)));
+      row_cts.push_back(pc_.enc.encrypt_seeded(pc_.encoder.encode(slots)));
     }
     for (std::size_t o = 0; o < m_; ++o) {
       std::vector<u64> slots(k_);
       for (std::size_t j = 0; j < k_; ++j) {
         slots[j] = static_cast<u64>(bc_red(j, o));
       }
-      col_cts.push_back(pc_.enc.encrypt(pc_.encoder.encode(slots)));
+      col_cts.push_back(pc_.enc.encrypt_seeded(pc_.encoder.encode(slots)));
     }
     pc_.send_cts(Party::kClient, enc_ac);
     pc_.send_cts(Party::kClient, enc_bct);

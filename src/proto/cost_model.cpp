@@ -4,6 +4,7 @@
 
 #include "common/timing.h"
 #include "gc/garble.h"
+#include "he/codec.h"
 #include "he/encoder.h"
 #include "he/he.h"
 
@@ -22,8 +23,8 @@ PrimitiveCosts PrimitiveCosts::measure(HeProfile profile) {
   const Encryptor enc(ctx, keygen.secret_key(), rng);
   const Decryptor dec(ctx, keygen.secret_key());
   const Evaluator eval(ctx);
-  const auto gk = keygen.make_galois_keys({1, 2, 3, 4});
-  const auto rk = keygen.make_relin_key();
+  const auto gk = expand_keys(ctx, keygen.make_galois_keys({1, 2, 3, 4}));
+  const auto rk = expand_keys(ctx, keygen.make_relin_key());
 
   std::vector<u64> vals(encoder.slot_count());
   rng.fill_uniform_mod(vals, ctx.t());
@@ -101,7 +102,10 @@ PrimitiveCosts PrimitiveCosts::measure(HeProfile profile) {
     c.plain_mac = secs / (dim * dim * 16);
   }
 
-  c.ciphertext_bytes = static_cast<double>(ctx.params().ciphertext_bytes());
+  c.fresh_ciphertext_bytes = static_cast<double>(
+      ciphertext_wire_bytes(ctx.params(), CtForm::kSeeded));
+  c.evaluated_ciphertext_bytes = static_cast<double>(
+      ciphertext_wire_bytes(ctx.params(), CtForm::kEvaluated));
   c.slots = encoder.row_size();
   return c;
 }
@@ -216,9 +220,10 @@ StepEstimate he_matmul(const Ctx& c, PackingStrategy strategy, std::size_t n,
       rotation_cost(counts, c.pc) + counts.plain_mults * c.pc.plain_mult +
       counts.adds * c.pc.add + counts.input_ciphertexts * c.pc.encrypt +
       counts.output_ciphertexts * c.pc.decrypt;
+  // The client's inputs are fresh encryptions, the results evaluated.
   const auto bytes = static_cast<std::uint64_t>(
-      (counts.input_ciphertexts + counts.output_ciphertexts) *
-      c.pc.ciphertext_bytes);
+      counts.input_ciphertexts * c.pc.fresh_ciphertext_bytes +
+      counts.output_ciphertexts * c.pc.evaluated_ciphertext_bytes);
   const double total = compute + c.net_s(bytes, 2);
   if (offline) {
     e.offline_s = total;
@@ -273,11 +278,9 @@ StepEstimate fhgs_product(const Ctx& c, std::size_t n, std::size_t k,
   const auto in_a = packed_matmul_counts(tf, n, k, m, c.pc.slots);
   const std::uint64_t triple_cts =
       3 * std::max<std::uint64_t>(1, in_a.input_ciphertexts);
-  e.offline_s = triple_cts * c.pc.encrypt +
-                c.net_s(static_cast<std::uint64_t>(
-                            triple_cts * c.pc.ciphertext_bytes), 1);
-  e.offline_bytes =
-      static_cast<std::uint64_t>(triple_cts * c.pc.ciphertext_bytes);
+  e.offline_bytes = static_cast<std::uint64_t>(
+      triple_cts * c.pc.fresh_ciphertext_bytes);
+  e.offline_s = triple_cts * c.pc.encrypt + c.net_s(e.offline_bytes, 1);
   // Online: Enc(Ra)*Db and Enc(Rb^T)*Da^T, plus the plain tmp1.
   StepEstimate m1 = he_matmul(c, tf, n, k, m, /*offline=*/false);
   StepEstimate m2 = he_matmul(c, tf, m, k, n, /*offline=*/false);
@@ -303,8 +306,11 @@ StepEstimate ctct_product(const Ctx& c, std::size_t n, std::size_t k,
                         full * c.pc.rotation);
   e.ct_mults = static_cast<std::uint64_t>(pairs);
   e.rotations = static_cast<std::uint64_t>(pairs * (hoisted + full));
+  // n row and m column encryptions from the client, one evaluated dot
+  // product back per pair.
   const auto bytes = static_cast<std::uint64_t>(
-      (n + m + pairs) * c.pc.ciphertext_bytes);
+      (n + m) * c.pc.fresh_ciphertext_bytes +
+      pairs * c.pc.evaluated_ciphertext_bytes);
   e.online_s += c.net_s(bytes, 2);
   e.online_bytes = bytes;
   return e;

@@ -40,8 +40,11 @@ struct PrimitiveCosts {
   double gc_eval_and = 0;
   // Plaintext server MAC (per multiply-accumulate over Z_t).
   double plain_mac = 0;
-  // Sizes (bytes).
-  double ciphertext_bytes = 0;
+  // Sizes (bytes).  Wire records from he/codec.h: a fresh client
+  // ciphertext ships packed c0 plus the seed of c1, an evaluated (server)
+  // ciphertext both parts packed.
+  double fresh_ciphertext_bytes = 0;
+  double evaluated_ciphertext_bytes = 0;
   double gc_table_bytes_per_and = 32;
   double label_bytes = 16;
   std::size_t slots = 4096;  // batching row size of the costed HE profile

@@ -99,12 +99,12 @@ std::vector<int> PackedMatmul::rotation_steps(std::size_t tokens) const {
   return steps;
 }
 
-std::vector<Ciphertext> PackedMatmul::encrypt_input(
+std::vector<SeededCiphertext> PackedMatmul::encrypt_input(
     const MatI& x_ring, const Encryptor& enc) const {
   const std::size_t row = encoder_.row_size();
   const std::size_t n = x_ring.rows();
   const std::size_t d_in = x_ring.cols();
-  std::vector<Ciphertext> out;
+  std::vector<SeededCiphertext> out;
 
   if (strategy_ == PackingStrategy::kTokensFirst) {
     const std::size_t fpc = row / n;
@@ -121,7 +121,7 @@ std::vector<Ciphertext> PackedMatmul::encrypt_input(
           slots[b * n + i] = static_cast<u64>(x_ring(i, j));
         }
       }
-      out.push_back(enc.encrypt(encoder_.encode(slots)));
+      out.push_back(enc.encrypt_seeded(encoder_.encode(slots)));
     }
   } else {
     const std::size_t total = n * d_in;
@@ -133,7 +133,7 @@ std::vector<Ciphertext> PackedMatmul::encrypt_input(
         if (l >= total) break;
         slots[s] = static_cast<u64>(x_ring(l / d_in, l % d_in));
       }
-      out.push_back(enc.encrypt(encoder_.encode(slots)));
+      out.push_back(enc.encrypt_seeded(encoder_.encode(slots)));
     }
   }
   return out;

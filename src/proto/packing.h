@@ -74,9 +74,10 @@ class PackedMatmul {
   PackedMatmul(const HeContext& ctx, const BatchEncoder& encoder,
                const Evaluator& eval, PackingStrategy strategy);
 
-  // Client side: pack and encrypt X.
-  std::vector<Ciphertext> encrypt_input(const MatI& x_ring,
-                                        const Encryptor& enc) const;
+  // Client side: pack and encrypt X (symmetric encryptor), in the seeded
+  // form the client ships; drop_seeds gives the ciphertexts for local use.
+  std::vector<SeededCiphertext> encrypt_input(const MatI& x_ring,
+                                              const Encryptor& enc) const;
 
   // Server side: homomorphically compute X * W.  Output ciphertexts pack
   // result column o into slot block (o mod fpc): slot (o*n + i) holds the

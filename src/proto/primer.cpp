@@ -157,7 +157,11 @@ PrimerRunResult PrimerEngine::run_session(
   for (std::size_t s = 2; s <= std::max(dh, n); s <<= 1) {
     steps.push_back(static_cast<int>(s));
   }
-  ProtocolContext pc(profile_, seed_, steps, options);
+  // The steps go through ensure_rotation_steps, not the constructor: the
+  // client only generates keys, and the server's copies are expanded once,
+  // by transfer_keys.
+  ProtocolContext pc(profile_, seed_, {}, options);
+  pc.ensure_rotation_steps(steps);
   try {
     pc.start_session();
     return run_protocol(tokens, pc);

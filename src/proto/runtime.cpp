@@ -1,7 +1,10 @@
 #include "proto/runtime.h"
 
+#include <cstring>
+
 #include "common/env.h"
 #include "common/parallel.h"
+#include "he/codec.h"
 #include "net/crc32c.h"
 
 namespace primer {
@@ -9,6 +12,9 @@ namespace primer {
 namespace {
 
 constexpr std::size_t kMaxGaloisKeys = 4096;
+// Version of the HE wire encoding (he/codec.h), part of the parameter
+// fingerprint: a peer or checkpoint from another encoding is another session.
+constexpr std::uint32_t kHeWireVersion = 2;
 
 }  // namespace
 
@@ -32,14 +38,17 @@ ProtocolContext::ProtocolContext(HeProfile profile, std::uint64_t seed,
       enc(he, keygen.secret_key(), client_rng),
       dec(he, keygen.secret_key()),
       eval(he),
-      gk(keygen.make_galois_keys(rotation_steps)),
-      rk(keygen.make_relin_key()),
+      client_gk(keygen.make_galois_keys(rotation_steps)),
+      client_rk(keygen.make_relin_key()),
+      gk(expand_keys(he, client_gk)),
+      rk(expand_keys(he, client_rk)),
       session(std::move(options)),
       framed(channel, session.faults, session.retry),
       ring(he.t()) {
   // Parameter fingerprint for the resume handshake: a peer with a
   // different profile, modulus chain or seed is a different session.
   ByteWriter w;
+  w.u32(kHeWireVersion);
   w.u64(seed);
   w.u64(he.t());
   w.u64(he.degree());
@@ -56,7 +65,7 @@ ProtocolContext::~ProtocolContext() {
 
 void ProtocolContext::ensure_rotation_steps(const std::vector<int>& steps) {
   for (const int s : steps) {
-    keygen.add_galois_key(gk, he.galois_elt_from_step(s));
+    keygen.add_galois_key(client_gk, he.galois_elt_from_step(s));
   }
 }
 
@@ -182,69 +191,46 @@ void ProtocolContext::checkpoint(const std::string& completed) {
 
 namespace {
 
-void write_poly(ByteWriter& w, const RnsPoly& p) {
-  w.u8(p.ntt_form ? 1 : 0);
-  w.u32(static_cast<std::uint32_t>(p.rns_size()));
-  w.u64(p.degree());
-  w.bytes(p.limb(0), p.rns_size() * p.degree() * sizeof(u64));
-}
-
-RnsPoly read_poly(ByteReader& r, const HeContext& he) {
-  const std::uint8_t ntt = r.u8();
-  const std::uint32_t k = r.u32();
-  const std::uint64_t n = r.u64();
-  if (ntt != 1 || k != he.rns_size() || n != he.degree()) {
-    throw std::runtime_error("key polynomial shape " + std::to_string(k) +
-                             "x" + std::to_string(n) + " (ntt=" +
-                             std::to_string(ntt) + ") does not match the " +
-                             "negotiated context");
-  }
-  RnsPoly p(k, n, /*ntt=*/true);
-  r.bytes(p.limb(0), static_cast<std::size_t>(k) * n * sizeof(u64));
-  return p;
-}
-
-void write_kswitch(ByteWriter& w, const KSwitchKey& key) {
-  w.u32(key.decomp_bits);
-  w.u32(static_cast<std::uint32_t>(key.digits()));
-  for (std::size_t i = 0; i < key.digits(); ++i) {
-    write_poly(w, key.b[i]);
-    write_poly(w, key.a[i]);
-  }
-}
-
-// Shoup quotient tables are never transmitted: they are deterministic in
-// the public modulus chain, so the receiver rebuilds them locally.
-KSwitchKey read_kswitch(const std::vector<std::uint8_t>& payload,
-                        const HeContext& he) {
+// A key frame is exactly one seeded key; the server expands it on arrival.
+KSwitchKey read_key_frame(const std::vector<std::uint8_t>& payload,
+                          const HeContext& he) {
   ByteReader r(payload);
-  KSwitchKey key;
-  key.decomp_bits = r.u32();
-  if (key.decomp_bits > 63) {
-    throw std::runtime_error("decomp_bits " + std::to_string(key.decomp_bits) +
-                             " out of range");
+  return expand_key(he, read_kswitch_key(he, r));
+}
+
+std::vector<std::uint8_t> key_frame(const HeContext& he,
+                                    const SeededKSwitchKey& key) {
+  ByteWriter w;
+  w.reserve(kswitch_key_wire_bytes(he.params(), key.digits()));
+  write_kswitch_key(he, key, w);
+  return w.take();
+}
+
+std::size_t record_bytes(const HeContext& he, const Ciphertext& ct) {
+  return ciphertext_wire_bytes(he.params(), CtForm::kEvaluated, ct.size());
+}
+
+std::size_t record_bytes(const HeContext& he, const SeededCiphertext&) {
+  return ciphertext_wire_bytes(he.params(), CtForm::kSeeded);
+}
+
+// u32 count, then one record per ciphertext.  Record sizes are fixed by
+// the context, so the whole payload is laid out first and every record is
+// encoded in parallel straight into its slot.
+template <class Ct>
+std::vector<std::uint8_t> encode_cts(const HeContext& he,
+                                     const std::vector<Ct>& cts) {
+  std::vector<std::size_t> offset(cts.size() + 1, sizeof(std::uint32_t));
+  for (std::size_t i = 0; i < cts.size(); ++i) {
+    offset[i + 1] = offset[i] + record_bytes(he, cts[i]);
   }
-  const std::uint32_t digits = r.u32();
-  const std::size_t expected = he.decomp_layout(key.decomp_bits).size();
-  if (digits != expected) {
-    throw std::runtime_error("key has " + std::to_string(digits) +
-                             " gadget digits, layout expects " +
-                             std::to_string(expected));
-  }
-  key.b.reserve(digits);
-  key.a.reserve(digits);
-  key.b_shoup.reserve(digits);
-  key.a_shoup.reserve(digits);
-  for (std::uint32_t i = 0; i < digits; ++i) {
-    RnsPoly b = read_poly(r, he);
-    RnsPoly a = read_poly(r, he);
-    key.b_shoup.push_back(compute_shoup_table(he, b));
-    key.a_shoup.push_back(compute_shoup_table(he, a));
-    key.b.push_back(std::move(b));
-    key.a.push_back(std::move(a));
-  }
-  if (!r.done()) throw std::runtime_error("trailing bytes after key digits");
-  return key;
+  std::vector<std::uint8_t> payload(offset.back());
+  const auto count = static_cast<std::uint32_t>(cts.size());
+  std::memcpy(payload.data(), &count, sizeof count);
+  parallel_for(0, cts.size(), [&](std::size_t i) {
+    write_ciphertext(he, cts[i], payload.data() + offset[i]);
+  });
+  return payload;
 }
 
 }  // namespace
@@ -256,19 +242,15 @@ void ProtocolContext::transfer_keys(const std::string& phase) {
     // the chaos harness kill points *inside* the multi-MB transfer — the
     // phase the checkpoint layer exists to amortize.
     ByteWriter mw;
-    mw.u32(static_cast<std::uint32_t>(gk.keys.size()));
-    for (const auto& [elt, key] : gk.keys) mw.u64(elt);
+    mw.u32(static_cast<std::uint32_t>(client_gk.keys.size()));
+    for (const auto& [elt, key] : client_gk.keys) mw.u64(elt);
     framed.send(Party::kClient, MessageKind::kKeyMaterial, mw.take());
-    for (const auto& [elt, key] : gk.keys) {
-      ByteWriter w;
-      write_kswitch(w, key);
-      framed.send(Party::kClient, MessageKind::kKeyMaterial, w.take());
+    for (const auto& [elt, key] : client_gk.keys) {
+      framed.send(Party::kClient, MessageKind::kKeyMaterial,
+                  key_frame(he, key));
     }
-    {
-      ByteWriter w;
-      write_kswitch(w, rk.key);
-      framed.send(Party::kClient, MessageKind::kKeyMaterial, w.take());
-    }
+    framed.send(Party::kClient, MessageKind::kKeyMaterial,
+                key_frame(he, client_rk.key));
 
     // Server side: the deserialized copies *replace* gk/rk, so evaluation
     // runs on keys that genuinely crossed the fault-injected wire.
@@ -293,7 +275,7 @@ void ProtocolContext::transfer_keys(const std::string& phase) {
     for (const u64 elt : elts) {
       const auto kb = framed.recv_expect(Party::kServer, MessageKind::kKeyMaterial);
       try {
-        ngk.keys[elt] = read_kswitch(kb, he);
+        ngk.keys[elt] = read_key_frame(kb, he);
       } catch (const std::exception& e) {
         throw ProtocolError(ProtocolErrorKind::kMalformed,
                             "server: Galois key for element " +
@@ -305,7 +287,7 @@ void ProtocolContext::transfer_keys(const std::string& phase) {
     {
       const auto kb = framed.recv_expect(Party::kServer, MessageKind::kKeyMaterial);
       try {
-        nrk.key = read_kswitch(kb, he);
+        nrk.key = read_key_frame(kb, he);
       } catch (const std::exception& e) {
         throw ProtocolError(ProtocolErrorKind::kMalformed,
                             "server: relinearization key rejected: " +
@@ -318,22 +300,12 @@ void ProtocolContext::transfer_keys(const std::string& phase) {
 }
 
 void ProtocolContext::send_cts(Party from, const std::vector<Ciphertext>& cts) {
-  // Each ciphertext is framed with its byte length so the receiver can
-  // split the message and decode slices in parallel; encoding itself is
-  // likewise parallel (one writer per ciphertext, concatenated in order).
-  std::vector<ByteWriter> writers(cts.size());
-  parallel_for(0, cts.size(),
-               [&](std::size_t i) { eval.serialize(cts[i], writers[i]); });
-  std::size_t total = 4;
-  for (const auto& wr : writers) total += 4 + wr.size();
-  ByteWriter w;
-  w.reserve(total);
-  w.u32(static_cast<std::uint32_t>(cts.size()));
-  for (const auto& wr : writers) {
-    w.u32(static_cast<std::uint32_t>(wr.size()));
-    w.bytes(wr.data().data(), wr.size());
-  }
-  framed.send(from, MessageKind::kCiphertexts, w.take());
+  framed.send(from, MessageKind::kCiphertexts, encode_cts(he, cts));
+}
+
+void ProtocolContext::send_cts(Party from,
+                               const std::vector<SeededCiphertext>& cts) {
+  framed.send(from, MessageKind::kCiphertexts, encode_cts(he, cts));
 }
 
 std::vector<Ciphertext> ProtocolContext::recv_cts(Party to) {
@@ -341,24 +313,30 @@ std::vector<Ciphertext> ProtocolContext::recv_cts(Party to) {
   try {
     ByteReader r(bytes);
     const auto count = r.u32();
-    // Each ciphertext costs at least a 4-byte length prefix, so any count
-    // beyond remaining/4 is a lie — reject before sizing the vectors.
-    if (count > r.remaining() / 4) {
+    // No record is smaller than a one-part evaluated ciphertext, so any
+    // count beyond remaining/min is a lie — reject before sizing vectors.
+    const std::size_t min_record =
+        ciphertext_wire_bytes(he.params(), CtForm::kEvaluated, 1);
+    if (count > r.remaining() / min_record) {
       throw std::out_of_range("recv_cts: ciphertext count " +
                               std::to_string(count) + " exceeds payload");
     }
-    // Scan the frame lengths, then decode every slice independently.
+    // Each record's size follows from its two header bytes: scan the
+    // record bounds, then decode every record independently.
     std::vector<std::size_t> begin(count), end(count);
     for (std::uint32_t i = 0; i < count; ++i) {
-      const auto len = r.u32();
       begin[i] = r.position();
-      end[i] = begin[i] + len;
-      r.skip(len);
+      r.skip(peek_ciphertext_bytes(he, r));
+      end[i] = r.position();
+    }
+    if (!r.done()) {
+      throw std::out_of_range("recv_cts: " + std::to_string(r.remaining()) +
+                              " trailing bytes after the last ciphertext");
     }
     std::vector<Ciphertext> cts(count);
     parallel_for(0, count, [&](std::size_t i) {
       ByteReader slice(bytes, begin[i], end[i]);
-      cts[i] = eval.deserialize(slice);
+      cts[i] = read_ciphertext(he, slice);
     });
     return cts;
   } catch (const ProtocolError&) {

@@ -83,6 +83,14 @@ class ProtocolContext {
   Encryptor enc;            // client symmetric encryptor
   Decryptor dec;            // client decryptor
   Evaluator eval;
+  // The client's switching keys in the seeded form transfer_keys ships:
+  // Galois keys for the constructor's rotation steps plus every step
+  // ensure_rotation_steps adds, and the relinearization key.
+  SeededGaloisKeys client_gk;
+  SeededRelinKey client_rk;
+  // Evaluation keys.  The constructor expands its own keys here, so a
+  // fresh context can evaluate at once; transfer_keys replaces them with
+  // the server's copies of every client key, expanded from the wire.
   GaloisKeys gk;
   RelinKey rk;
   Channel channel;
@@ -101,10 +109,12 @@ class ProtocolContext {
   std::uint64_t t() const { return he.t(); }
   std::size_t share_bits() const { return share_width(he.t()); }
 
-  // Adds Galois keys for any of `steps` not yet present.  Protocol objects
-  // call this from their constructors with the BSGS step sets their packed
-  // matmuls and rotate-sums need, so key material always matches the
-  // rotation schedule regardless of what the engine seeded.
+  // Adds client Galois keys for any of `steps` not yet present.  Protocol
+  // objects call this from their constructors with the BSGS step sets
+  // their packed matmuls and rotate-sums need, so key material always
+  // matches the rotation schedule regardless of what the engine seeded.
+  // The new keys reach gk with the next transfer_keys — the client never
+  // builds evaluation tables for them.
   void ensure_rotation_steps(const std::vector<int>& steps);
 
   // Runs `fn`, charging its wall-clock time plus the channel traffic it
@@ -128,11 +138,12 @@ class ProtocolContext {
   // store (the deadline still restarts).
   void checkpoint(const std::string& completed);
 
-  // Ships the client's evaluation keys (Galois + relinearization) through
-  // the accounted channel — one kKeyMaterial frame per key — and replaces
-  // gk/rk with the wire round-tripped copies, so the server evaluates with
-  // keys that genuinely crossed the (fault-injected) transport.  Shoup
-  // quotient tables are recomputed receiver-side, never transmitted.
+  // Ships the client's switching keys (Galois + relinearization) through
+  // the accounted channel — one kKeyMaterial frame per key, each digit as
+  // packed b plus the seed of a — and replaces gk/rk with the server's
+  // expansion of what arrived, so the server evaluates with keys that
+  // genuinely crossed the (fault-injected) transport.  Only the receiver
+  // expands a and builds the quotient tables.
   // Charged to costs[phase]["key_transfer"].
   void transfer_keys(const std::string& phase = "offline");
 
@@ -146,8 +157,11 @@ class ProtocolContext {
   // Wire bytes the resume handshake cost this attempt.
   std::uint64_t handshake_bytes() const { return handshake_bytes_; }
 
-  // Ciphertext transfer through the accounted channel.
+  // Ciphertext transfer through the accounted channel (he/codec.h): fresh
+  // symmetric ciphertexts ship packed c0 plus the seed of c1, every other
+  // ciphertext ships all its parts packed.
   void send_cts(Party from, const std::vector<Ciphertext>& cts);
+  void send_cts(Party from, const std::vector<SeededCiphertext>& cts);
   std::vector<Ciphertext> recv_cts(Party to);
 
   // Ring-matrix transfer (unencrypted share traffic).

@@ -87,7 +87,8 @@ class CostModelTest : public ::testing::Test {
     pc.gc_garble_and = 50e-9;
     pc.gc_eval_and = 25e-9;
     pc.plain_mac = 1e-9;
-    pc.ciphertext_bytes = 400000;
+    pc.fresh_ciphertext_bytes = 200000;
+    pc.evaluated_ciphertext_bytes = 400000;
     pc.slots = 4096;
     return pc;
   }

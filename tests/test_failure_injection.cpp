@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -21,6 +22,7 @@
 #include "gc/fixed_circuits.h"
 #include "gc/garble.h"
 #include "gc/protocol.h"
+#include "he/codec.h"
 #include "he/encoder.h"
 #include "he/he.h"
 #include "net/crc32c.h"
@@ -123,13 +125,28 @@ TEST(FailureInjection, TruncatedSerializedCiphertextThrows) {
   const BatchEncoder encoder(ctx);
   const Encryptor enc(ctx, keygen.secret_key(), rng);
   const Evaluator eval(ctx);
-  const auto ct = enc.encrypt(encoder.encode({1}));
+  Ciphertext evaluated = enc.encrypt(encoder.encode({1}));
+  eval.add_inplace(evaluated, evaluated);
   ByteWriter w;
-  eval.serialize(ct, w);
-  auto bytes = w.take();
-  bytes.resize(bytes.size() / 2);
-  ByteReader r(bytes);
-  EXPECT_THROW((void)eval.deserialize(r), std::out_of_range);
+  write_ciphertext(ctx, enc.encrypt_seeded(encoder.encode({1})), w);
+  write_ciphertext(ctx, evaluated, w);
+  const auto whole = w.take();
+  const std::size_t seeded =
+      ciphertext_wire_bytes(ctx.params(), CtForm::kSeeded);
+  // Cut inside the seeded record's packed c0, inside its seed, and inside
+  // the evaluated record's second part.
+  for (const std::size_t cut : {seeded / 2, seeded - 5, whole.size() - 9}) {
+    auto bytes = whole;
+    bytes.resize(cut);
+    ByteReader r(bytes);
+    EXPECT_THROW(
+        {
+          (void)read_ciphertext(ctx, r);
+          (void)read_ciphertext(ctx, r);
+        },
+        std::out_of_range)
+        << "cut at " << cut;
+  }
 }
 
 // --- CRC32C & frame format ---------------------------------------------------
@@ -246,21 +263,18 @@ std::vector<std::uint8_t> payload_for(MessageKind kind) {
     case MessageKind::kControl:
       return {0x01};
     case MessageKind::kCiphertexts: {
-      // Mirrors ProtocolContext::send_cts: u32 count, then u32-length-framed
-      // serialized ciphertexts.
+      // Mirrors ProtocolContext::send_cts from the client: u32 count, then
+      // one seeded ciphertext record.
       static const std::vector<std::uint8_t> cached = [] {
         const HeContext ctx(make_params(HeProfile::kTest2048));
         Rng rng(11);
         KeyGenerator keygen(ctx, rng);
         const BatchEncoder encoder(ctx);
         const Encryptor enc(ctx, keygen.secret_key(), rng);
-        const Evaluator eval(ctx);
-        ByteWriter inner;
-        eval.serialize(enc.encrypt(encoder.encode({1, 2, 3})), inner);
         ByteWriter w;
         w.u32(1);
-        w.u32(static_cast<std::uint32_t>(inner.size()));
-        w.bytes(inner.data().data(), inner.size());
+        write_ciphertext(ctx, enc.encrypt_seeded(encoder.encode({1, 2, 3})),
+                         w);
         return w.take();
       }();
       return cached;
@@ -309,9 +323,19 @@ std::vector<std::uint8_t> payload_for(MessageKind kind) {
       r.digest = 0x22222222u;
       return r.serialize();
     }
-    case MessageKind::kKeyMaterial:
-      // Manifest-shaped blob: u32 count, then u64 Galois elements.
-      return std::vector<std::uint8_t>(4 + 3 * 8, 0x5a);
+    case MessageKind::kKeyMaterial: {
+      // A real key frame: one seeded Galois key (packed b + seed per digit).
+      static const std::vector<std::uint8_t> cached = [] {
+        const HeContext ctx(make_params(HeProfile::kTest2048));
+        Rng rng(12);
+        KeyGenerator keygen(ctx, rng);
+        ByteWriter w;
+        write_kswitch_key(ctx, keygen.make_galois_keys({1}).keys.begin()->second,
+                          w);
+        return w.take();
+      }();
+      return cached;
+    }
   }
   return {0x00};
 }
@@ -846,28 +870,178 @@ TEST(NoiseBudget, DeserializeRejectsInsaneNoiseAndPartCount) {
   KeyGenerator keygen(ctx, rng);
   const BatchEncoder encoder(ctx);
   const Encryptor enc(ctx, keygen.secret_key(), rng);
-  const Evaluator eval(ctx);
   const auto ct = enc.encrypt(encoder.encode({1, 2}));
 
   ByteWriter w;
-  eval.serialize(ct, w);
-  auto bytes = w.take();
+  write_ciphertext(ctx, ct, w);
+  const auto bytes = w.take();
 
   {
-    // NaN noise estimate would disarm the decrypt guard.
+    // NaN noise estimate would disarm the decrypt guard (record layout:
+    // u8 form, u8 parts, f64 noise).
     auto evil = bytes;
     const double nan = std::numeric_limits<double>::quiet_NaN();
-    std::memcpy(evil.data() + evil.size() - sizeof(double), &nan, sizeof nan);
+    std::memcpy(evil.data() + 2, &nan, sizeof nan);
     ByteReader r(evil);
-    EXPECT_THROW((void)eval.deserialize(r), std::out_of_range);
+    EXPECT_THROW((void)read_ciphertext(ctx, r), std::out_of_range);
+  }
+  // Hostile part counts and an unknown form.
+  for (const auto& [form, parts] :
+       {std::pair<int, int>{0, 0}, {0, 5}, {0, 255}, {1, 1}, {1, 3}, {7, 2}}) {
+    auto evil = bytes;
+    evil[0] = static_cast<std::uint8_t>(form);
+    evil[1] = static_cast<std::uint8_t>(parts);
+    ByteReader r(evil);
+    EXPECT_THROW((void)read_ciphertext(ctx, r), std::out_of_range)
+        << "form " << form << " parts " << parts;
+  }
+}
+
+// --- hostile payloads for the packed / seeded HE wire codec -----------------
+
+// Overwrites packed residue `index` of limb 0 (bit width w) in a packed
+// polynomial starting at `poly` with the value v.
+void poke_residue(std::uint8_t* poly, std::size_t index, unsigned w, u64 v) {
+  for (unsigned b = 0; b < w; ++b) {
+    const std::size_t bit = index * w + b;
+    const auto mask = static_cast<std::uint8_t>(1u << (bit % 8));
+    if ((v >> b) & 1) {
+      poly[bit / 8] |= mask;
+    } else {
+      poly[bit / 8] &= static_cast<std::uint8_t>(~mask);
+    }
+  }
+}
+
+unsigned limb0_bits(const HeContext& ctx) {
+  return static_cast<unsigned>(std::bit_width(ctx.q(0)));
+}
+
+TEST(WireCodec, CiphertextPayloadDefectsAreMalformed) {
+  // Each defect arrives in a frame whose checksum is valid, so only the
+  // codec can catch it — as a fatal kMalformed naming the receiver.
+  ProtocolContext pc(HeProfile::kTest2048, 3, {1});
+  const HeContext& ctx = pc.he;
+  std::vector<SeededCiphertext> fresh;
+  fresh.push_back(pc.enc.encrypt_seeded(pc.encoder.encode({4, 5, 6})));
+  ByteWriter w;
+  w.u32(1);
+  write_ciphertext(ctx, fresh[0], w);
+  const auto good = w.take();
+  const std::size_t c0 = sizeof(std::uint32_t) + 2 + sizeof(double);
+
+  auto expect_malformed = [&](std::vector<std::uint8_t> payload,
+                              const char* what) {
+    pc.framed.send(Party::kClient, MessageKind::kCiphertexts,
+                   std::move(payload));
+    try {
+      (void)pc.recv_cts(Party::kServer);
+      ADD_FAILURE() << what << ": expected ProtocolError";
+    } catch (const ProtocolError& e) {
+      EXPECT_EQ(e.kind(), ProtocolErrorKind::kMalformed) << what;
+      EXPECT_NE(std::string(e.what()).find("server"), std::string::npos);
+    }
+  };
+  {
+    // The untouched payload decodes to the ciphertext the client sent.
+    pc.send_cts(Party::kClient, fresh);
+    const auto back = pc.recv_cts(Party::kServer);
+    ASSERT_EQ(back.size(), 1u);
+    EXPECT_EQ(pc.encoder.decode(pc.dec.decrypt(back[0]))[2], 6u);
+  }
+  for (const u64 bad : {ctx.q(0), ctx.q(0) + 1,
+                        (u64{1} << limb0_bits(ctx)) - 1}) {
+    auto evil = good;
+    poke_residue(evil.data() + c0, 17, limb0_bits(ctx), bad);
+    expect_malformed(std::move(evil), "residue >= q_0");
   }
   {
-    // Hostile part count.
-    auto evil = bytes;
-    const std::uint32_t parts = 0x7fffffff;
-    std::memcpy(evil.data(), &parts, sizeof parts);
+    auto evil = good;
+    evil.resize(c0 + 100);  // truncated inside the first packed limb
+    expect_malformed(std::move(evil), "truncated packed limb");
+  }
+  {
+    auto evil = good;
+    evil.resize(evil.size() - 3);  // truncated seed
+    expect_malformed(std::move(evil), "truncated seed");
+  }
+  {
+    auto evil = good;
+    evil.push_back(0);
+    expect_malformed(std::move(evil), "trailing byte");
+  }
+  {
+    // A count that promises a second record the payload does not hold.
+    auto evil = good;
+    evil[0] = 2;
+    expect_malformed(std::move(evil), "count beyond payload");
+  }
+}
+
+TEST(WireCodec, KeyFrameDefectsAreRejected) {
+  const HeContext ctx(make_params(HeProfile::kTest2048));
+  Rng rng(21);
+  KeyGenerator keygen(ctx, rng);
+  const auto seeded = keygen.make_galois_keys({1}).keys.begin()->second;
+  ByteWriter w;
+  write_kswitch_key(ctx, seeded, w);
+  const auto good = w.take();
+  ASSERT_EQ(good.size(),
+            kswitch_key_wire_bytes(ctx.params(), seeded.digits()));
+  {
+    ByteReader r(good);
+    const SeededKSwitchKey back = read_kswitch_key(ctx, r);
+    ASSERT_EQ(back.digits(), seeded.digits());
+    EXPECT_EQ(back.a_seeds, seeded.a_seeds);
+    for (std::size_t i = 0; i < back.digits(); ++i) {
+      EXPECT_EQ(std::memcmp(back.b[i].data(), seeded.b[i].data(),
+                            back.b[i].word_count() * sizeof(u64)),
+                0);
+    }
+  }
+  auto expect_rejected = [&](const std::vector<std::uint8_t>& evil,
+                             const char* what) {
     ByteReader r(evil);
-    EXPECT_THROW((void)eval.deserialize(r), std::out_of_range);
+    EXPECT_THROW((void)read_kswitch_key(ctx, r), std::out_of_range) << what;
+  };
+  const std::size_t b0 = 2 * sizeof(std::uint32_t);
+  {
+    auto evil = good;
+    poke_residue(evil.data() + b0, 5, limb0_bits(ctx), ctx.q(0));
+    expect_rejected(evil, "residue >= q_0 in b");
+  }
+  {
+    auto evil = good;
+    evil.resize(b0 + 64);
+    expect_rejected(evil, "truncated packed limb");
+  }
+  {
+    auto evil = good;
+    evil.push_back(0);
+    expect_rejected(evil, "trailing byte");
+  }
+  {
+    auto evil = good;
+    evil[4] ^= 1;  // digit count disagrees with the gadget layout
+    expect_rejected(evil, "digit count");
+  }
+}
+
+TEST(WireCodec, HostileKeyFrameFailsTheTransferAsMalformed) {
+  // Frame 2 is the first Galois key frame: the hostile peer flips the high
+  // bit of its decomp_bits field and reseals the checksum.
+  Rng wrng(2025);
+  const auto weights = quantize(BertWeightsD::random(bert_nano(), wrng));
+  EnvGuard env(std::vector<std::pair<const char*, const char*>>{
+      {"PRIMER_FAULT_HOSTILE_AFTER", "2"}});
+  PrimerEngine engine(weights, PrimerVariant::kF);
+  try {
+    (void)engine.run({3, 17, 9, 28});
+    FAIL() << "expected ProtocolError";
+  } catch (const ProtocolError& e) {
+    EXPECT_EQ(e.kind(), ProtocolErrorKind::kMalformed) << e.what();
+    EXPECT_NE(std::string(e.what()).find("Galois key"), std::string::npos)
+        << e.what();
   }
 }
 

@@ -1,14 +1,21 @@
 // Tests for the HE substrate: parameter generation, CRT composition,
 // encrypt/decrypt round-trips, homomorphic add / plain-mult / ct-mult /
-// rotations, batching semantics, noise budget behaviour, serialization.
+// rotations, batching semantics, noise budget behaviour, and the packed /
+// seeded wire codec.
 //
-// All tests run on the kTest2048 profile (fast, NOT secure) — the secure
-// profiles use identical code paths with bigger tables.
+// The HeTest fixture runs on the kTest2048 profile (fast, NOT secure) — the
+// secure profiles use identical code paths with bigger tables; the codec
+// tests run at every profile.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
 #include <memory>
+#include <type_traits>
 
 #include "common/fixed_point.h"
+#include "common/parallel.h"
+#include "he/codec.h"
 #include "he/encoder.h"
 #include "he/he.h"
 #include "he/u256.h"
@@ -23,9 +30,10 @@ class HeTest : public ::testing::Test {
     rng_ = new Rng(2024);
     keygen_ = new KeyGenerator(*ctx_, *rng_);
     pk_ = new PublicKey(keygen_->make_public_key());
-    rk_ = new RelinKey(keygen_->make_relin_key());
-    gk_ = new GaloisKeys(
-        keygen_->make_galois_keys({1, 2, -1, 5}, /*include_row_swap=*/true));
+    rk_ = new RelinKey(expand_keys(*ctx_, keygen_->make_relin_key()));
+    gk_ = new GaloisKeys(expand_keys(
+        *ctx_, keygen_->make_galois_keys({1, 2, -1, 5},
+                                         /*include_row_swap=*/true)));
     encoder_ = new BatchEncoder(*ctx_);
     enc_sym_ = new Encryptor(*ctx_, keygen_->secret_key(), *rng_);
     enc_pub_ = new Encryptor(*ctx_, *pk_, *rng_);
@@ -294,14 +302,36 @@ TEST_F(HeTest, DeepAddChainStaysCorrect) {
 }
 
 TEST_F(HeTest, SerializationRoundTrip) {
+  // A fresh symmetric ciphertext travels as packed c0 plus the seed of c1;
+  // one an evaluator op has touched travels with both parts packed.
   const auto v = random_slots(ctx_->t(), 64);
-  const auto ct = enc_sym_->encrypt(encoder_->encode(v));
+  const auto fresh = enc_sym_->encrypt_seeded(encoder_->encode(v));
+  Ciphertext evaluated = fresh.ct();
+  eval_->add_inplace(evaluated, fresh.ct());
   ByteWriter w;
-  eval_->serialize(ct, w);
-  EXPECT_GE(w.size(), ctx_->params().ciphertext_bytes());
+  write_ciphertext(*ctx_, fresh, w);
+  const std::size_t seeded_bytes =
+      ciphertext_wire_bytes(ctx_->params(), CtForm::kSeeded);
+  EXPECT_EQ(w.size(), seeded_bytes);
+  write_ciphertext(*ctx_, evaluated, w);
+  EXPECT_EQ(w.size(), seeded_bytes + ciphertext_wire_bytes(
+                                         ctx_->params(), CtForm::kEvaluated));
   ByteReader r(w.data());
-  const auto ct2 = eval_->deserialize(r);
-  const auto out = encoder_->decode(dec_->decrypt(ct2));
+  const Ciphertext* sent_cts[] = {&fresh.ct(), &evaluated};
+  for (const Ciphertext* sent : sent_cts) {
+    const Ciphertext back = read_ciphertext(*ctx_, r);
+    ASSERT_EQ(back.size(), sent->size());
+    for (std::size_t i = 0; i < back.size(); ++i) {
+      EXPECT_TRUE(back.parts[i].ntt_form);
+      EXPECT_EQ(std::memcmp(back.parts[i].data(), sent->parts[i].data(),
+                            back.parts[i].word_count() * sizeof(u64)),
+                0)
+          << "part " << i;
+    }
+    EXPECT_EQ(back.noise_log2, sent->noise_log2);
+  }
+  EXPECT_TRUE(r.done());
+  const auto out = encoder_->decode(dec_->decrypt(fresh.ct()));
   for (std::size_t i = 0; i < v.size(); ++i) EXPECT_EQ(out[i], v[i]);
 }
 
@@ -317,6 +347,160 @@ TEST_F(HeTest, OpCountersTrack) {
   EXPECT_EQ(eval_->counters().plain_mults, 1u);
   EXPECT_EQ(eval_->counters().rotations, 1u);
 }
+
+TEST_F(HeTest, SeededCiphertextSeedAlwaysMatchesC1) {
+  // Only the symmetric Encryptor makes a seeded ciphertext, and it exposes
+  // its ciphertext read-only, so no Evaluator op can leave a stale seed
+  // behind: an evaluated ciphertext is a plain Ciphertext.
+  static_assert(
+      !std::is_constructible_v<SeededCiphertext, Ciphertext, PolySeed>);
+  static_assert(!std::is_convertible_v<SeededCiphertext&, Ciphertext&>);
+  static_assert(std::is_same_v<
+                decltype(std::declval<SeededCiphertext&>().ct()),
+                const Ciphertext&>);
+  const auto pt = encoder_->encode({7, 8, 9});
+  const auto fresh = enc_sym_->encrypt_seeded(pt);
+  const RnsPoly c1 = expand_uniform(*ctx_, fresh.c1_seed());
+  EXPECT_EQ(std::memcmp(c1.data(), fresh.ct().parts[1].data(),
+                        c1.word_count() * sizeof(u64)),
+            0);
+  EXPECT_THROW((void)enc_pub_->encrypt_seeded(pt), std::logic_error);
+}
+
+// --- wire codec at every profile ---------------------------------------------
+
+class CodecTest : public ::testing::TestWithParam<HeProfile> {};
+
+TEST_P(CodecTest, BothFormsRoundTripBitExactly) {
+  const HeContext ctx(make_params(GetParam()));
+  Rng rng(31);
+  KeyGenerator keygen(ctx, rng);
+  const BatchEncoder encoder(ctx);
+  const Encryptor enc(ctx, keygen.secret_key(), rng);
+  const Decryptor dec(ctx, keygen.secret_key());
+  const Evaluator eval(ctx);
+
+  std::size_t poly = 0;
+  for (const u64 q : ctx.params().q) {
+    poly += ctx.degree() * static_cast<std::size_t>(std::bit_width(q)) / 8;
+  }
+  ASSERT_EQ(packed_poly_bytes(ctx.params()), poly);
+  const std::size_t header = 2 + sizeof(double);
+  EXPECT_EQ(ciphertext_wire_bytes(ctx.params(), CtForm::kSeeded),
+            header + poly + 16);
+  EXPECT_EQ(ciphertext_wire_bytes(ctx.params(), CtForm::kEvaluated),
+            header + 2 * poly);
+
+  std::vector<u64> vals(encoder.slot_count());
+  rng.fill_uniform_mod(vals, ctx.t());
+  const Plaintext pt = encoder.encode(vals);
+  const auto fresh = enc.encrypt_seeded(pt);
+  Ciphertext evaluated = fresh.ct();
+  eval.multiply_plain_inplace(evaluated, pt);
+  ByteWriter w;
+  write_ciphertext(ctx, fresh, w);
+  write_ciphertext(ctx, evaluated, w);
+  ByteReader r(w.data());
+  const Ciphertext* sent_cts[] = {&fresh.ct(), &evaluated};
+  for (const Ciphertext* sent : sent_cts) {
+    const Ciphertext back = read_ciphertext(ctx, r);
+    ASSERT_EQ(back.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(std::memcmp(back.parts[i].data(), sent->parts[i].data(),
+                            back.parts[i].word_count() * sizeof(u64)),
+                0)
+          << "part " << i;
+    }
+  }
+  EXPECT_TRUE(r.done());
+
+  // A seeded key survives the wire and expands to the same evaluation key.
+  const SeededGaloisKeys seeded = keygen.make_galois_keys({1});
+  const SeededKSwitchKey& key = seeded.keys.begin()->second;
+  ByteWriter kw;
+  write_kswitch_key(ctx, key, kw);
+  EXPECT_EQ(kw.size(), kswitch_key_wire_bytes(ctx.params(), key.digits()));
+  ByteReader kr(kw.data());
+  const KSwitchKey local = expand_key(ctx, key);
+  const KSwitchKey wire = expand_key(ctx, read_kswitch_key(ctx, kr));
+  ASSERT_EQ(wire.digits(), local.digits());
+  const auto same = [&](const RnsPoly& a, const RnsPoly& b) {
+    return std::memcmp(a.data(), b.data(), a.word_count() * sizeof(u64)) == 0;
+  };
+  for (std::size_t i = 0; i < wire.digits(); ++i) {
+    EXPECT_TRUE(same(wire.a[i], local.a[i]));
+    EXPECT_TRUE(same(wire.b[i], local.b[i]));
+    EXPECT_TRUE(same(wire.a_shoup[i], local.a_shoup[i]));
+    EXPECT_TRUE(same(wire.b_shoup[i], local.b_shoup[i]));
+  }
+}
+
+TEST_P(CodecTest, ExpansionIsDeterministicAndThreadCountIndependent) {
+  const HeContext ctx(make_params(GetParam()));
+  Rng rng(37);
+  const PolySeed seed = draw_seed(rng);
+  const std::size_t prev = num_threads();
+  set_num_threads(1);
+  const RnsPoly serial = expand_uniform(ctx, seed);
+  set_num_threads(4);
+  const RnsPoly threaded = expand_uniform(ctx, seed);
+  const RnsPoly again = expand_uniform(ctx, seed);
+  set_num_threads(prev);
+  const std::size_t bytes = serial.word_count() * sizeof(u64);
+  EXPECT_TRUE(serial.ntt_form);
+  EXPECT_EQ(std::memcmp(serial.data(), threaded.data(), bytes), 0);
+  EXPECT_EQ(std::memcmp(serial.data(), again.data(), bytes), 0);
+  // Another seed gives another polynomial, and each limb draws from its own
+  // counter space: limbs do not repeat each other's values.
+  const RnsPoly other = expand_uniform(ctx, draw_seed(rng));
+  EXPECT_NE(std::memcmp(serial.data(), other.data(), bytes), 0);
+  for (std::size_t i = 1; i < ctx.rns_size(); ++i) {
+    std::size_t equal = 0;
+    for (std::size_t x = 0; x < ctx.degree(); ++x) {
+      equal += serial.limb(0)[x] == serial.limb(i)[x] ? 1 : 0;
+    }
+    EXPECT_LT(equal, 4u) << "limb " << i;
+  }
+}
+
+TEST_P(CodecTest, SeededPolynomialIsUniformPerLimb) {
+  // Coarse chi-square over 16 equal-width bins of [0, q_i) per limb, pooled
+  // over four seeds.  With 15 degrees of freedom the statistic exceeds 50
+  // with probability below 1e-5, and the seeds are fixed.
+  const HeContext ctx(make_params(GetParam()));
+  Rng rng(41);
+  constexpr std::size_t kBins = 16;
+  std::vector<std::vector<double>> counts(
+      ctx.rns_size(), std::vector<double>(kBins, 0.0));
+  std::size_t samples = 0;
+  for (int s = 0; s < 4; ++s) {
+    const RnsPoly p = expand_uniform(ctx, draw_seed(rng));
+    for (std::size_t i = 0; i < ctx.rns_size(); ++i) {
+      const u64 q = ctx.q(i);
+      for (std::size_t x = 0; x < ctx.degree(); ++x) {
+        ASSERT_LT(p.limb(i)[x], q);
+        const auto bin = static_cast<std::size_t>(
+            (static_cast<u128>(p.limb(i)[x]) * kBins) / q);
+        counts[i][bin] += 1.0;
+      }
+    }
+    samples += ctx.degree();
+  }
+  const double expect = static_cast<double>(samples) / kBins;
+  for (std::size_t i = 0; i < ctx.rns_size(); ++i) {
+    double chi2 = 0.0;
+    for (const double c : counts[i]) {
+      chi2 += (c - expect) * (c - expect) / expect;
+    }
+    EXPECT_LT(chi2, 50.0) << "limb " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllProfiles, CodecTest,
+                         ::testing::Values(HeProfile::kTest2048,
+                                           HeProfile::kLight4096,
+                                           HeProfile::kProd8192,
+                                           HeProfile::kProto2048));
 
 }  // namespace
 }  // namespace primer

@@ -14,6 +14,7 @@
 #include "common/fixed_point.h"
 #include "common/parallel.h"
 #include "common/serialize.h"
+#include "he/codec.h"
 #include "he/encoder.h"
 #include "he/he.h"
 #include "proto/packing.h"
@@ -49,10 +50,10 @@ struct Fixture {
   Evaluator eval;
 };
 
-std::vector<std::uint8_t> ct_bytes(const Evaluator& eval,
+std::vector<std::uint8_t> ct_bytes(const HeContext& ctx,
                                    const Ciphertext& ct) {
   ByteWriter w;
-  eval.serialize(ct, w);
+  write_ciphertext(ctx, ct, w);
   return w.take();
 }
 
@@ -103,8 +104,8 @@ TEST(KeySwitch, KernelFusedMatchesNaiveReferenceBitExact) {
     f.ctx.to_ntt(c);
     // Both digit layouts: the relin key (CRT digits, reduce_span path) and
     // a Galois key (sub-digits).
-    const RelinKey rk = f.keygen.make_relin_key();
-    GaloisKeys gk = f.keygen.make_galois_keys({1});
+    const RelinKey rk = expand_keys(f.ctx, f.keygen.make_relin_key());
+    GaloisKeys gk = expand_keys(f.ctx, f.keygen.make_galois_keys({1}));
     const KSwitchKey& galois_key = gk.keys.begin()->second;
     for (const KSwitchKey* key : {&rk.key, &galois_key}) {
       RnsPoly fused0(k, n, true), fused1(k, n, true);
@@ -126,7 +127,7 @@ TEST(KeySwitch, HoistedSetMatchesSingleRotationsBitExact) {
        {HeProfile::kTest2048, HeProfile::kProto2048, HeProfile::kLight4096}) {
     Fixture f(profile);
     const std::vector<int> steps{1, 2, 5, 0, -3, 16};
-    const GaloisKeys gk = f.keygen.make_galois_keys(steps);
+    const GaloisKeys gk = expand_keys(f.ctx, f.keygen.make_galois_keys(steps));
     const Ciphertext ct = f.encrypt_iota();
     const auto hoisted = f.eval.rotate_rows_many(ct, steps, gk);
     ASSERT_EQ(hoisted.size(), steps.size());
@@ -135,7 +136,7 @@ TEST(KeySwitch, HoistedSetMatchesSingleRotationsBitExact) {
       if (steps[s] != 0) {
         f.eval.rotate_rows_inplace(single, steps[s], gk);
       }
-      EXPECT_EQ(ct_bytes(f.eval, single), ct_bytes(f.eval, hoisted[s]))
+      EXPECT_EQ(ct_bytes(f.ctx, single), ct_bytes(f.ctx, hoisted[s]))
           << "step " << steps[s] << " profile "
           << f.ctx.params().name;
     }
@@ -145,10 +146,10 @@ TEST(KeySwitch, HoistedSetMatchesSingleRotationsBitExact) {
 TEST(KeySwitch, GaloisKeysUseSubDigitsRelinUsesCrtDigits) {
   Fixture f(HeProfile::kProto2048);
   const std::size_t k = f.ctx.rns_size();
-  const RelinKey rk = f.keygen.make_relin_key();
+  const RelinKey rk = expand_keys(f.ctx, f.keygen.make_relin_key());
   EXPECT_EQ(rk.key.decomp_bits, 0u);
   EXPECT_EQ(rk.key.digits(), k);
-  GaloisKeys gk = f.keygen.make_galois_keys({1});
+  GaloisKeys gk = expand_keys(f.ctx, f.keygen.make_galois_keys({1}));
   const KSwitchKey& key = gk.keys.begin()->second;
   EXPECT_EQ(key.decomp_bits, f.ctx.galois_decomp_bits());
   EXPECT_GT(key.decomp_bits, 0u);
@@ -166,7 +167,7 @@ TEST(KeySwitch, RotateThenMultiplyKeepsNoiseBudget) {
   // ALREADY-ROTATED ciphertexts, so a rotation must leave ~log2(t*n) bits
   // of budget.  With full-width CRT galois digits this went negative.
   Fixture f(HeProfile::kProto2048);
-  const GaloisKeys gk = f.keygen.make_galois_keys({4});
+  const GaloisKeys gk = expand_keys(f.ctx, f.keygen.make_galois_keys({4}));
   Ciphertext ct = f.encrypt_iota();
   f.eval.rotate_rows_inplace(ct, 4, gk);
   std::vector<u64> mask(f.encoder.slot_count());
@@ -235,9 +236,9 @@ TEST(KeySwitch, BsgsMatmulMatchesSequentialDiagonalWalk) {
   PackedMatmul mm(f.ctx, f.encoder, f.eval, PackingStrategy::kTokensFirst);
   std::vector<int> steps = mm.rotation_steps(tokens);
   steps.push_back(static_cast<int>(tokens));  // the sequential walk's step
-  const GaloisKeys gk = f.keygen.make_galois_keys(steps);
+  const GaloisKeys gk = expand_keys(f.ctx, f.keygen.make_galois_keys(steps));
 
-  const auto packed = mm.encrypt_input(x, f.enc);
+  const auto packed = drop_seeds(mm.encrypt_input(x, f.enc));
   ASSERT_EQ(packed.size(), 1u);
   const auto result = mm.multiply(packed, w, tokens, f.ctx.t(), gk, nullptr);
   const MatI bsgs = mm.decrypt_result(result, f.dec, tokens, d_out);
@@ -263,22 +264,22 @@ TEST(KeySwitch, ArenaReuseIsDeterministicAcrossThreadsAndRuns) {
     for (int repeat = 0; repeat < 2; ++repeat) {
       Fixture f(HeProfile::kProto2048, 19);
       const std::vector<int> steps{1, 3, 4, 8};
-      const GaloisKeys gk = f.keygen.make_galois_keys(steps);
+      const GaloisKeys gk = expand_keys(f.ctx, f.keygen.make_galois_keys(steps));
       const Ciphertext ct = f.encrypt_iota();
       ByteWriter w;
       for (const auto& r : f.eval.rotate_rows_many(ct, steps, gk)) {
-        f.eval.serialize(r, w);
+        write_ciphertext(f.ctx, r, w);
       }
       PackedMatmul mm(f.ctx, f.encoder, f.eval,
                       PackingStrategy::kTokensFirst);
-      const GaloisKeys mgk = f.keygen.make_galois_keys(mm.rotation_steps(4));
+      const GaloisKeys mgk = expand_keys(f.ctx, f.keygen.make_galois_keys(mm.rotation_steps(4)));
       const ShareRing ring(f.ctx.t());
       const MatI x = ring.random(f.rng, 4, 16);
       const MatI wm = random_fp_matrix(f.rng, 16, 8, -1.0, 1.0);
-      const auto packed = mm.encrypt_input(x, f.enc);
+      const auto packed = drop_seeds(mm.encrypt_input(x, f.enc));
       for (const auto& r :
            mm.multiply(packed, wm, 4, f.ctx.t(), mgk, nullptr)) {
-        f.eval.serialize(r, w);
+        write_ciphertext(f.ctx, r, w);
       }
       runs.push_back(w.take());
     }
@@ -326,7 +327,7 @@ TEST(KeySwitch, MismatchedKeyDecompositionThrows) {
   const std::size_t k = f.ctx.rns_size();
   const std::size_t n = f.ctx.degree();
   RnsPoly c(k, n, true);
-  const RelinKey rk = f.keygen.make_relin_key();
+  const RelinKey rk = expand_keys(f.ctx, f.keygen.make_relin_key());
   const HoistedKeySwitch hoist(f.ctx, c, f.ctx.galois_decomp_bits());
   RnsPoly a0(k, n, true), a1(k, n, true);
   EXPECT_THROW(hoist.apply(1, rk.key, a0, a1), std::invalid_argument);

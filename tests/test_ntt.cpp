@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "he/params.h"
 #include "ntt/modarith.h"
 #include "ntt/ntt.h"
 #include "ntt/primes.h"
@@ -53,6 +54,33 @@ TEST(ModArith, ShoupMatchesNaive) {
     const ShoupMul s(w, m);
     const u64 x = rng.uniform(m);
     EXPECT_EQ(s.mul(x, m), mul_mod(w, x, m));
+  }
+}
+
+TEST(ModArith, ShoupQuotientMatchesDivisionForEveryProfilePrime) {
+  // The key tables' division-free quotients must equal the u128 division
+  // bit for bit in both kernel conventions (64: scalar/avx2/avx512, 52:
+  // avx512ifma), for every prime of every profile, at the edges and on
+  // random residues.
+  Rng rng(3);
+  for (const HeProfile profile :
+       {HeProfile::kTest2048, HeProfile::kLight4096, HeProfile::kProd8192,
+        HeProfile::kProto2048}) {
+    for (const u64 q : make_params(profile).q) {
+      for (const unsigned shift : {64u, 52u}) {
+        const ShoupQuotient quotient(q, shift);
+        auto check = [&](u64 x) {
+          const u64 want =
+              static_cast<u64>((static_cast<u128>(x) << shift) / q);
+          ASSERT_EQ(quotient(x), want)
+              << "q " << q << " shift " << shift << " x " << x;
+        };
+        for (const u64 x : {u64{0}, u64{1}, u64{2}, q / 2, q - 2, q - 1}) {
+          check(x);
+        }
+        for (int i = 0; i < 20000; ++i) check(rng.uniform(q));
+      }
+    }
   }
 }
 

@@ -14,6 +14,7 @@
 
 #include "common/rng.h"
 #include "common/serialize.h"
+#include "he/codec.h"
 #include "he/encoder.h"
 #include "he/he.h"
 #include "ntt/kernels.h"
@@ -558,17 +559,16 @@ TEST(RnsPolyFlat, SerializationRoundTripsBitExactly) {
   const BatchEncoder encoder(ctx);
   const Encryptor enc(ctx, keygen.secret_key(), rng);
   const Decryptor dec(ctx, keygen.secret_key());
-  const Evaluator eval(ctx);
 
   std::vector<u64> vals(encoder.slot_count());
   rng.fill_uniform_mod(vals, ctx.t());
   const Ciphertext ct = enc.encrypt(encoder.encode(vals));
 
   ByteWriter w;
-  eval.serialize(ct, w);
+  write_ciphertext(ctx, ct, w);
   const auto bytes = w.take();
   ByteReader r(bytes);
-  const Ciphertext back = eval.deserialize(r);
+  const Ciphertext back = read_ciphertext(ctx, r);
   EXPECT_TRUE(r.done());
 
   ASSERT_EQ(back.parts.size(), ct.parts.size());
@@ -584,26 +584,26 @@ TEST(RnsPolyFlat, SerializationRoundTripsBitExactly) {
 }
 
 TEST(RnsPolyFlat, DeserializeRejectsShapeMismatch) {
-  HeContext ctx(make_params(HeProfile::kTest2048));
-  const Evaluator eval(ctx);
-  const auto attempt = [&](std::uint32_t k, u64 n) {
-    ByteWriter w;
-    w.u32(1);  // one part
-    w.u8(0);   // coeff form
-    w.u32(k);
-    w.u64(n);
-    // No limb payload: the shape check must fire before any read.
-    const auto bytes = w.take();
-    ByteReader r(bytes);
-    return eval.deserialize(r);
-  };
-  // Oversized and undersized shapes are both hostile: downstream kernels
-  // stream exactly ctx.degree() words per limb through unchecked pointers.
-  EXPECT_THROW((void)attempt(1000, ctx.degree()), std::out_of_range);
-  EXPECT_THROW((void)attempt(1, 64), std::out_of_range);
-  EXPECT_THROW(
-      (void)attempt(static_cast<std::uint32_t>(ctx.rns_size()), 64),
-      std::out_of_range);
+  // The wire carries no shape: a record's size follows from the reader's
+  // modulus chain, so a record made under a smaller parameter set reads as
+  // truncated instead of streaming too few words into the kernels.
+  const HeContext small(make_params(HeProfile::kTest2048));
+  const HeContext big(make_params(HeProfile::kProto2048));
+  Rng rng(29);
+  KeyGenerator keygen(small, rng);
+  const BatchEncoder encoder(small);
+  const Encryptor enc(small, keygen.secret_key(), rng);
+  ByteWriter w;
+  write_ciphertext(small, enc.encrypt(encoder.encode({1, 2, 3})), w);
+  const auto bytes = w.take();
+  ByteReader r(bytes);
+  EXPECT_THROW((void)read_ciphertext(big, r), std::out_of_range);
+  // A polynomial of another shape never reaches the wire either.
+  Ciphertext odd;
+  odd.parts.emplace_back(big.rns_size(), big.degree(), true);
+  odd.parts.emplace_back(big.rns_size(), big.degree(), true);
+  ByteWriter w2;
+  EXPECT_THROW(write_ciphertext(small, odd, w2), std::invalid_argument);
 }
 
 }  // namespace

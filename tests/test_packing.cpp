@@ -20,7 +20,7 @@ class PackingTest : public ::testing::Test {
     enc_ = new Encryptor(*ctx_, keygen_->secret_key(), *rng_);
     dec_ = new Decryptor(*ctx_, keygen_->secret_key());
     eval_ = new Evaluator(*ctx_);
-    gk_ = new GaloisKeys(keygen_->make_galois_keys({1, 4, 8, 256}));
+    gk_ = new GaloisKeys(expand_keys(*ctx_, keygen_->make_galois_keys({1, 4, 8, 256})));
   }
 
   static void TearDownTestSuite() {
@@ -39,8 +39,8 @@ class PackingTest : public ::testing::Test {
 
     PackedMatmul mm(*ctx_, *encoder_, *eval_, strategy);
     // Keys for this shape's BSGS rotation set.
-    const GaloisKeys gk = keygen_->make_galois_keys(mm.rotation_steps(n));
-    const auto packed = mm.encrypt_input(x, *enc_);
+    const GaloisKeys gk = expand_keys(*ctx_, keygen_->make_galois_keys(mm.rotation_steps(n)));
+    const auto packed = drop_seeds(mm.encrypt_input(x, *enc_));
     const auto result = mm.multiply(packed, w, n, t, gk, stats);
     const MatI got = mm.decrypt_result(result, *dec_, n, d_out);
 
@@ -188,8 +188,8 @@ TEST_F(PackingTest, NoiseBudgetSurvives) {
   const MatI x = ring.random(*rng_, 8, 64);
   const MatI w = random_fp_matrix(*rng_, 64, 8, -1.0, 1.0);
   PackedMatmul mm(*ctx_, *encoder_, *eval_, PackingStrategy::kTokensFirst);
-  const GaloisKeys gk = keygen_->make_galois_keys(mm.rotation_steps(8));
-  const auto packed = mm.encrypt_input(x, *enc_);
+  const GaloisKeys gk = expand_keys(*ctx_, keygen_->make_galois_keys(mm.rotation_steps(8)));
+  const auto packed = drop_seeds(mm.encrypt_input(x, *enc_));
   const auto result = mm.multiply(packed, w, 8, t, gk, nullptr);
   for (const auto& ct : result) {
     EXPECT_GT(dec_->noise_budget(ct), 10.0);

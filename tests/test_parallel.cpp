@@ -13,6 +13,7 @@
 #include "common/fixed_point.h"
 #include "common/parallel.h"
 #include "common/serialize.h"
+#include "he/codec.h"
 #include "proto/linear.h"
 #include "ss/secret_share.h"
 
@@ -146,11 +147,11 @@ PipelineOutput run_pipeline() {
     const MatI w = random_fp_matrix(rng, d_in, d_out, -1.0, 1.0);
 
     PackedMatmul mm(ctx, encoder, eval, PackingStrategy::kTokensFirst);
-    const auto gk = keygen.make_galois_keys(mm.rotation_steps(tokens));
-    const auto packed = mm.encrypt_input(x, enc);
+    const auto gk = expand_keys(ctx, keygen.make_galois_keys(mm.rotation_steps(tokens)));
+    const auto packed = drop_seeds(mm.encrypt_input(x, enc));
     const auto result = mm.multiply(packed, w, tokens, ctx.t(), gk, nullptr);
     ByteWriter wtr;
-    for (const auto& ct : result) eval.serialize(ct, wtr);
+    for (const auto& ct : result) write_ciphertext(ctx, ct, wtr);
     out.matmul_ct_bytes = wtr.take();
     out.matmul_result = mm.decrypt_result(result, dec, tokens, d_out);
   }
@@ -162,6 +163,7 @@ PipelineOutput run_pipeline() {
     const MatI w = random_fp_matrix(rng, d_in, d_out, -1.0, 1.0);
     const std::vector<std::int64_t> bias(d_out, fp_encode(0.25));
     HgsLinear layer(pc, w, bias, tokens, PackingStrategy::kTokensFirst);
+    pc.transfer_keys();  // the server evaluates with transferred keys
     const MatI rc = pc.ring.random(pc.client_rng, tokens, d_in);
     layer.offline("qkv", rc);
     const MatI x = random_fp_matrix(rng, tokens, d_in, -2.0, 2.0);

@@ -91,8 +91,8 @@ TEST(ProdParams, FullOpSuiteAtSecureParameters) {
   const Encryptor enc(ctx, keygen.secret_key(), rng);
   const Decryptor dec(ctx, keygen.secret_key());
   const Evaluator eval(ctx);
-  const auto gk = keygen.make_galois_keys({1});
-  const auto rk = keygen.make_relin_key();
+  const auto gk = expand_keys(ctx, keygen.make_galois_keys({1}));
+  const auto rk = expand_keys(ctx, keygen.make_relin_key());
   const std::uint64_t t = ctx.t();
 
   std::vector<std::uint64_t> a = {1, 2, 3, 4}, b = {10, 20, 30, 40};

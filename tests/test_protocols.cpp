@@ -23,6 +23,7 @@ TEST(HgsLinear, SharesReconstructToProduct) {
   const std::vector<std::int64_t> bias(dout, fp_encode(0.25));
 
   HgsLinear layer(pc, w, bias, n, PackingStrategy::kTokensFirst);
+  pc.transfer_keys();  // the server evaluates with transferred keys
   const MatI rc = pc.ring.random(pc.client_rng, n, din);
   layer.offline("qkv", rc);
 
@@ -53,6 +54,7 @@ TEST(BaseLinear, SharesReconstructToProduct) {
   Rng rng(6);
   const MatI w = random_fp_matrix(rng, din, dout, -1.0, 1.0);
   BaseLinear layer(pc, w, {}, n, PackingStrategy::kFeatureBased);
+  pc.transfer_keys();  // the server evaluates with transferred keys
 
   const MatI x = random_fp_matrix(rng, n, din, -2.0, 2.0);
   const auto xs = pc.ring.share(x, rng);
@@ -77,6 +79,7 @@ TEST(FhgsProduct, SharesReconstructToMatrixProduct) {
   const MatI b = random_fp_matrix(rng, k, m, -2.0, 2.0);
 
   FhgsProduct prod(pc, n, k, m);
+  pc.transfer_keys();  // the server evaluates with transferred keys
   const MatI ra = pc.ring.random(pc.client_rng, n, k);
   const MatI rb = pc.ring.random(pc.client_rng, k, m);
   prod.offline("qk", ra, rb);
@@ -107,6 +110,7 @@ TEST(CtCtProduct, SharesReconstructToMatrixProduct) {
   const auto bs = pc.ring.share(b, rng);
 
   CtCtProduct prod(pc, n, k, m);
+  pc.transfer_keys();  // the server evaluates with transferred keys
   const auto shares =
       prod.online("qk", as.client, as.server, bs.client, bs.server);
   const MatI got = pc.ring.reconstruct({shares.client, shares.server});
@@ -134,6 +138,7 @@ TEST(ChgsScores, MatchesMergedScoreComputation) {
   for (std::size_t i = 0; i < n; ++i) x(i, (i * 5) % vocab) = 1;
 
   ChgsScores chgs(pc, n, we, pos, wq, wk);
+  pc.transfer_keys();  // the server evaluates with transferred keys
   const MatI r0 = pc.ring.random(pc.client_rng, n, vocab);
   chgs.offline("qk", r0);
   const MatI d0 = pc.ring.sub(pc.ring.reduce(x), r0);
@@ -274,6 +279,14 @@ TEST_F(PrimerE2E, PrimerFpcMatchesChgsReference) {
   EXPECT_EQ(total.gc_and_gates, result.gc_and_gates);
   // Width-minimal circuits: 360,891 ANDs (2,084,844 at share width).
   EXPECT_LE(result.gc_and_gates, 1000000u);
+  // Seeded, bit-packed HE wire at proto2048: every key digit is a packed b
+  // plus a 16-byte seed (9.23 MB of keys, 26.26 MB at full width), and the
+  // whole run fits in 28 MB (44.0 MB at full width).
+  const auto& steps = result.costs.all();
+  ASSERT_TRUE(steps.count("offline") &&
+              steps.at("offline").count("key_transfer"));
+  EXPECT_LE(steps.at("offline").at("key_transfer").bytes_sent, 9'500'000u);
+  EXPECT_LE(result.total_bytes, 28'000'000u);
   // The merged path should stay close to the standard fixed model.
   const FixedBert ref(w);
   const auto ref_logits = ref.forward(tokens);
